@@ -16,7 +16,7 @@ from .graphs import (
     write_edge_list,
     write_graphml,
 )
-from .layout import DegenerateLayoutError, Layout, NumericError, normalize_layout
+from .layout import DegenerateLayoutError, Layout, NumericError, RunRecord, normalize_layout
 from .snb import (
     DegenerateGraphError,
     SnbParams,
@@ -43,7 +43,6 @@ from .metrics import (
     min_pair_distance_scaled,
     vertex_distribution,
 )
-from .records import RunRecord
 from .bench import BucketSummary, CorpusError, bucketize, run_corpus, run_one
 
 __version__ = "0.1.0"

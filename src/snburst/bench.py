@@ -11,8 +11,8 @@ from pathlib import Path
 
 from .fr import FrParams, fr_run
 from .graphs import Graph, GraphError, parse_edge_list, parse_graphml
+from .layout import RunRecord
 from .metrics import CSV_FIELDS, compute_metrics
-from .records import RunRecord
 from .snb import SnbParams, compute_sync_param, snb_run
 
 log = logging.getLogger(__name__)

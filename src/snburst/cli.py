@@ -7,6 +7,7 @@ environment variable.
 
 from __future__ import annotations
 
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -15,17 +16,7 @@ import click
 
 from . import bench as bench_mod
 from .fr import FrParams, fr_run
-from .graphs import (
-    GENERATORS,
-    GraphError,
-    ParseError,
-    gen_heawood,
-    gen_queen,
-    gen_scale_free,
-    gen_wagner,
-    write_edge_list,
-    write_graphml,
-)
+from .graphs import GENERATORS, ParseError, write_edge_list, write_graphml
 from .layout import DegenerateLayoutError, NumericError
 from .metrics import compute_metrics
 from .render import (
@@ -188,20 +179,20 @@ def cmd_generate(name, params, seed, target_m, fmt, output):
         raise click.UsageError(
             f"unknown generator {name!r}; available: {', '.join(sorted(GENERATORS))}"
         )
-    if name == "queen":
-        if len(params) != 2:
-            raise click.UsageError("queen takes two parameters: rows cols")
-        g = gen_queen(*params)
-    elif name == "wagner":
-        g = gen_wagner()
-    elif name == "heawood":
-        g = gen_heawood()
-    else:
-        if len(params) not in (1, 2):
-            raise click.UsageError("scale-free takes: n [edges_per_step]")
-        n = params[0]
-        k = params[1] if len(params) == 2 else 1
-        g = gen_scale_free(n, k, seed=seed, target_m=target_m)
+    generator = GENERATORS[name]
+    signature = inspect.signature(generator)
+    options = {
+        key: value
+        for key, value in (("seed", seed), ("target_m", target_m))
+        if key in signature.parameters
+    }
+    try:
+        signature.bind(*params, **options)
+    except TypeError as exc:
+        raise click.UsageError(
+            f"bad parameters for {name} ({exc}); see 'snburst generate --help'"
+        ) from None
+    g = generator(*params, **options)
     text = write_edge_list(g) if fmt == "edgelist" else write_graphml(g)
     if output is None:
         suffix = ".txt" if fmt == "edgelist" else ".graphml"
@@ -219,15 +210,12 @@ def main(argv=None) -> int:
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return EXIT_USAGE
-    except (ParseError, GraphError, OSError, ValueError) as exc:
-        if isinstance(exc, (DegenerateGraphError, DegenerateLayoutError, NumericError)):
-            click.echo(f"numeric error: {exc}", err=True)
-            return EXIT_NUMERIC
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_IO
-    except NumericError as exc:
+    except (DegenerateGraphError, DegenerateLayoutError, NumericError) as exc:
         click.echo(f"numeric error: {exc}", err=True)
         return EXIT_NUMERIC
+    except (OSError, ValueError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        return EXIT_IO
     return 0
 
 

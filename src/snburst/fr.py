@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .layout import Layout, NumericError
-from .records import RunRecord
-from .rng import SplitMix64, hash_angle
-from .snb import DegenerateGraphError, _adjacency_matrix, _from_complex
+from .layout import Layout, NumericError, RunRecord, adjacency_matrix, pair_directions
+from .rng import SplitMix64
+from .snb import DegenerateGraphError
 
 _COINCIDENT_DIST = 1e-9
 
@@ -75,41 +74,28 @@ def fr_run(
         else 0.1 * side
     )
     k = math.sqrt(side * side / g.n)
-    adj = _adjacency_matrix(g)
+    adj = adjacency_matrix(g)
     rng = SplitMix64(params.seed)
-    z = np.array(
-        [complex(rng.next_float() * side, rng.next_float() * side) for _ in range(g.n)]
-    )
+    start_xy = [[rng.next_float() * side, rng.next_float() * side] for _ in range(g.n)]
+    pos = np.ascontiguousarray(np.array(start_xy).T)
     trajectory = []
     start = time.perf_counter()
     for t in range(1, total + 1):
-        dz = z[None, :] - z[:, None]  # dz[i, j]: direction i -> j
-        d = np.sqrt(dz.real * dz.real + dz.imag * dz.imag)
-        np.fill_diagonal(d, 1.0)
-        if d.min() == 0.0:
-            coincident = d == 0.0
-            d[coincident] = _COINCIDENT_DIST
-            for i, j in zip(*np.nonzero(coincident)):
-                if i < j:
-                    theta = hash_angle(params.seed, t, int(i), int(j))
-                    dz[i, j] = _COINCIDENT_DIST * complex(math.cos(theta), math.sin(theta))
-                    dz[j, i] = -dz[i, j]
-        u = dz / d
+        u, d = pair_directions(pos, t, params.seed)
+        d[d == 0.0] = _COINCIDENT_DIST
         # Per pair: attraction d^2/k toward (adjacent only), repulsion k^2/d away.
         coef = adj * (d * d / k) - (k * k) / d
         np.fill_diagonal(coef, 0.0)
-        disp = np.einsum("ij,ij->i", coef, u)
-        norm = np.sqrt(disp.real * disp.real + disp.imag * disp.imag)
+        disp = np.einsum("ij,cij->ci", coef, u)
+        norm = np.sqrt(disp[0] * disp[0] + disp[1] * disp[1])
         temp = fr_temperature(t, total, t0)
         scale = np.where(norm > temp, temp / np.where(norm == 0.0, 1.0, norm), 1.0)
-        z = z + disp * scale
-        z = np.clip(z.real, 0.0, side) + 1j * np.clip(z.imag, 0.0, side)
-        if not np.all(np.isfinite(z)):
+        pos = np.clip(pos + disp * scale, 0.0, side)
+        if not np.all(np.isfinite(pos)):
             raise NumericError("non-finite coordinates in FR iteration")
         if capture_every and t % capture_every == 0:
-            trajectory.append((t, Layout(_from_complex(z), t)))
+            trajectory.append((t, Layout(pos.T, t)))
     elapsed = time.perf_counter() - start
-    pos = _from_complex(z)
     return RunRecord(
         graph_id=graph_id,
         algorithm="fr",
@@ -119,6 +105,6 @@ def fr_run(
         iterations=total,
         wall_time_total=elapsed,
         wall_time_per_iteration=elapsed / total,
-        final_layout=Layout(pos, total),
+        final_layout=Layout(pos.T, total),
         trajectory=trajectory,
     )

@@ -1,10 +1,19 @@
-"""Layout container and normalization shared by both algorithms and the metrics."""
+"""Layout container, run record, normalization and the pairwise kernel
+shared by both algorithms, the metrics and the harness."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+
+from .graphs import Graph
+from .rng import hash_angle
+
+if TYPE_CHECKING:
+    from .metrics import MetricsReport
 
 
 class DegenerateLayoutError(ValueError):
@@ -27,7 +36,7 @@ class Layout:
     iteration: int = 0
 
     def __post_init__(self):
-        arr = np.array(self.coords, dtype=np.float64)
+        arr = np.array(self.coords, dtype=np.float64, order="C")
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
             raise ValueError(f"coords must be (n, 2), got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -53,3 +62,60 @@ def normalize_layout(layout: Layout) -> Layout:
     if side == 0.0:
         raise DegenerateLayoutError("all vertices coincide")
     return Layout((layout.coords - lo) / side, layout.iteration)
+
+
+@dataclass
+class RunRecord:
+    """One algorithm run: identity, timing, final layout and metrics."""
+
+    graph_id: str
+    algorithm: str  # "snb" or "fr"
+    seed: int
+    n: int
+    m: int
+    iterations: int
+    wall_time_total: float
+    wall_time_per_iteration: float
+    final_layout: Layout
+    metrics: Optional["MetricsReport"] = None
+    # Layout captured at the end of the sync phase (SnB only).
+    sync_end_layout: Optional[Layout] = None
+    # Sampled (iteration, Layout) pairs when trajectory capture is on.
+    trajectory: list = field(default_factory=list)
+
+
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    """Dense symmetric 0/1 adjacency matrix of `g`."""
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        a[u, v] = 1.0
+        a[v, u] = 1.0
+    return a
+
+
+def pair_directions(pos: np.ndarray, iteration: int, seed: int):
+    """Unit directions and distances between all vertex pairs.
+
+    `pos` is a C-contiguous (2, n) array of x and y rows.  Returns `(u, d)`:
+    `u` is (2, n, n) and `u[:, i, j]` the unit direction from vertex i to
+    vertex j, zero on the diagonal; `d` is the (n, n) distance matrix with
+    a diagonal of 1.
+    A coincident pair keeps d == 0 and gets the deterministic direction
+    hash_angle(seed, iteration, i, j) for i < j, negated for (j, i), so the
+    two contributions stay exactly opposite.  sqrt of the exact sum of
+    squares (not hypot) keeps u bitwise invariant under exact power-of-two
+    rescaling of the input.
+    """
+    delta = pos[:, None, :] - pos[:, :, None]
+    dx, dy = delta
+    d = np.sqrt(dx * dx + dy * dy)
+    np.fill_diagonal(d, 1.0)
+    if d.min() > 0.0:
+        return delta / d, d
+    coincident = d == 0.0
+    u = delta / np.where(coincident, 1.0, d)
+    for i, j in zip(*np.nonzero(np.triu(coincident))):
+        theta = hash_angle(seed, iteration, int(i), int(j))
+        u[:, i, j] = math.cos(theta), math.sin(theta)
+        u[:, j, i] = -u[:, i, j]
+    return u, d

@@ -43,7 +43,7 @@ def hash_angle(seed: int, t: int, i: int, j: int) -> float:
     """Deterministic pseudo-random angle in [0, 2*pi) for the pair (i, j).
 
     Used when two vertices coincide and the direction between them is
-    undefined.  Callers pass i < j and add pi for the reverse direction so
+    undefined.  Callers pass i < j and negate the direction for (j, i) so
     the two force contributions stay exactly opposite.
     """
     h = mix64(mix64(mix64(mix64(seed & _MASK) ^ (t & _MASK)) ^ i) ^ j)

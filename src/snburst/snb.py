@@ -9,7 +9,9 @@ magnitude arithmetic here is done in log space and each step works with
 the attraction:repulsion ratio m*M^(-0.1), which stays in range.  Every
 step output is renormalized (zero centroid, unit max-extent); this is
 exactly trajectory-preserving because the step depends only on directions
-between points.
+between points.  Inside the loop the coordinates are a C-contiguous (2, n)
+float64 array of x and y rows, and the directions come from
+`layout.pair_directions`, which the FR baseline shares.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, betweenness
-from .layout import Layout, NumericError
-from .records import RunRecord
-from .rng import SplitMix64, hash_angle
+from .layout import Layout, NumericError, RunRecord, adjacency_matrix, pair_directions
+from .rng import SplitMix64
 
 
 class DegenerateGraphError(ValueError):
@@ -157,64 +158,24 @@ def sync_phase_iterations(g: Graph, p: SnbParams) -> int:
 # Stepping
 
 
-def _adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    return a
-
-
-def _unit_directions(z, iteration, seed):
-    """Unit direction u[i, j] from vertex i to vertex j as complex numbers.
-
-    The diagonal is zero.  Coincident pairs get a deterministic hashed
-    direction so the step never fails on them.  sqrt of the exact sum of
-    squares (not hypot) keeps the result bitwise invariant under exact
-    power-of-two rescaling of the input.
-    """
-    dz = z[None, :] - z[:, None]
-    d = np.sqrt(dz.real * dz.real + dz.imag * dz.imag)
-    np.fill_diagonal(d, 1.0)
-    if d.min() == 0.0:
-        coincident = d == 0.0
-        d[coincident] = 1.0
-        u = dz / d
-        for i, j in zip(*np.nonzero(coincident)):
-            if i < j:
-                theta = hash_angle(seed, iteration, int(i), int(j))
-                u[i, j] = complex(math.cos(theta), math.sin(theta))
-                u[j, i] = -u[i, j]
-        return u
-    return dz / d
-
-
-def _step(z, iteration, adj, ratio, seed):
-    """One Sync-and-Burst iteration on complex coordinates.
+def _step(pos, iteration, adj, ratio, seed):
+    """One Sync-and-Burst iteration on a C-contiguous (2, n) coordinate array.
 
     `ratio` is the attraction:repulsion magnitude ratio m*M^(a-1); the
     common factor M is dropped since the output is renormalized anyway.
-    Returns the renormalized (zero centroid, unit max-extent) coordinates.
+    Returns the renormalized (zero centroid, unit max-extent) (2, n) array.
     """
-    u = _unit_directions(z, iteration, seed)
+    u, _ = pair_directions(pos, iteration, seed)
     # Force sum per vertex: ratio on adjacent pairs minus 1 on all pairs.
     # u has a zero diagonal, so the i = j terms drop out by themselves.
-    f = ratio * np.einsum("ij,ij->i", adj, u) - u.sum(axis=1)
-    f -= f.mean()
-    extent = max(np.ptp(f.real), np.ptp(f.imag))
+    f = ratio * np.einsum("ij,cij->ci", adj, u) - u.sum(axis=2)
+    f -= f.mean(axis=1, keepdims=True)
+    extent = np.ptp(f, axis=1).max()
     if extent > 0.0:
         f /= extent
     if not np.all(np.isfinite(f)):
         raise NumericError("non-finite coordinates produced by step")
     return f
-
-
-def _to_complex(coords):
-    return coords[:, 0] + 1j * coords[:, 1]
-
-
-def _from_complex(z):
-    return np.column_stack([z.real, z.imag])
 
 
 def snb_step(g: Graph, prev: Layout, magnitude_prev: float, p: SnbParams) -> Layout:
@@ -225,8 +186,9 @@ def snb_step(g: Graph, prev: Layout, magnitude_prev: float, p: SnbParams) -> Lay
     if not magnitude_prev > 0.0:
         raise ValueError("magnitude_prev must be positive")
     ratio = g.m * magnitude_prev ** (p.attraction_exponent - 1.0)
-    z = _step(_to_complex(prev.coords), prev.iteration, _adjacency_matrix(g), ratio, p.seed)
-    return Layout(_from_complex(z), prev.iteration + 1)
+    pos = np.ascontiguousarray(prev.coords.T)
+    f = _step(pos, prev.iteration, adjacency_matrix(g), ratio, p.seed)
+    return Layout(f.T, prev.iteration + 1)
 
 
 def initial_layout(g: Graph, seed: int) -> Layout:
@@ -260,8 +222,8 @@ def snb_run(
         log_mag_prev = math.log(params.initial_magnitude)
     else:
         log_mag_prev = -log_m  # M(0) = 1/m
-    adj = _adjacency_matrix(g)
-    z = _to_complex(initial_layout(g, params.seed).coords)
+    adj = adjacency_matrix(g)
+    pos = np.ascontiguousarray(initial_layout(g, params.seed).coords.T)
     total = params.total_multiplier * g.n
     sync_end = sync_phase_iterations(g, params)
     sync_end_layout = None
@@ -269,14 +231,14 @@ def snb_run(
     start = time.perf_counter()
     for t in range(1, total + 1):
         ratio = math.exp(log_m + (a - 1.0) * log_mag_prev)
-        z = _step(z, t - 1, adj, ratio, params.seed)
+        pos = _step(pos, t - 1, adj, ratio, params.seed)
         log_mag_prev = log_magnitude(t, g, params)
         if t == sync_end:
-            sync_end_layout = Layout(_from_complex(z), t)
+            sync_end_layout = Layout(pos.T, t)
         if capture_every and t % capture_every == 0:
-            trajectory.append((t, Layout(_from_complex(z), t)))
+            trajectory.append((t, Layout(pos.T, t)))
     elapsed = time.perf_counter() - start
-    layout = Layout(_from_complex(z), total)
+    layout = Layout(pos.T, total)
     return RunRecord(
         graph_id=graph_id,
         algorithm="snb",

@@ -119,6 +119,69 @@ def is_connected(g):
 
 
 # ---------------------------------------------------------------------------
+# Layout-step oracles (scalar loops over vertex pairs; no coincident vertices)
+
+
+def _unit(coords, i, j):
+    dx = coords[j][0] - coords[i][0]
+    dy = coords[j][1] - coords[i][1]
+    d = math.hypot(dx, dy)
+    return dx / d, dy / d, d
+
+
+def snb_step(g, coords, magnitude_prev, attraction_exponent=0.9):
+    """One Sync-and-Burst step: force m*M^0.9 toward each neighbour and M
+    away from every vertex, divided by M, then centred and scaled to unit
+    max-extent."""
+    n = len(coords)
+    ratio = g.m * magnitude_prev ** (attraction_exponent - 1.0)
+    adjacent = {frozenset(e) for e in g.edges}
+    forces = []
+    for i in range(n):
+        fx = fy = 0.0
+        for j in range(n):
+            if j == i:
+                continue
+            ux, uy, _ = _unit(coords, i, j)
+            w = (ratio if frozenset((i, j)) in adjacent else 0.0) - 1.0
+            fx += w * ux
+            fy += w * uy
+        forces.append((fx, fy))
+    cx = sum(f[0] for f in forces) / n
+    cy = sum(f[1] for f in forces) / n
+    xs = [f[0] - cx for f in forces]
+    ys = [f[1] - cy for f in forces]
+    extent = max(max(xs) - min(xs), max(ys) - min(ys))
+    return [(x / extent, y / extent) for x, y in zip(xs, ys)]
+
+
+def fr_iteration(g, coords, temperature, side=1.0):
+    """One Fruchterman-Reingold iteration with k = sqrt(side^2/n): attraction
+    d^2/k along edges, repulsion k^2/d between all pairs, displacement capped
+    at `temperature`, positions clipped to [0, side]^2."""
+    n = len(coords)
+    k = math.sqrt(side * side / n)
+    adjacent = {frozenset(e) for e in g.edges}
+    out = []
+    for i in range(n):
+        dx = dy = 0.0
+        for j in range(n):
+            if j == i:
+                continue
+            ux, uy, d = _unit(coords, i, j)
+            c = (d * d / k if frozenset((i, j)) in adjacent else 0.0) - k * k / d
+            dx += c * ux
+            dy += c * uy
+        norm = math.hypot(dx, dy)
+        if norm > temperature:
+            dx, dy = dx * temperature / norm, dy * temperature / norm
+        x = min(max(coords[i][0] + dx, 0.0), side)
+        y = min(max(coords[i][1] + dy, 0.0), side)
+        out.append((x, y))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Geometry-side oracles
 
 _TINY = 1e-12

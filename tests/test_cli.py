@@ -213,6 +213,13 @@ class TestGenerateCommand:
     def test_queen_missing_params_is_usage_error(self):
         assert main(["generate", "queen", "8"]) == EXIT_USAGE
 
+    def test_wrong_param_count_is_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for params in (["wagner", "3"], ["heawood", "1"], ["scale-free"],
+                       ["scale-free", "10", "2", "5"]):
+            assert main(["generate", *params]) == EXIT_USAGE
+        assert not any(tmp_path.iterdir())
+
     def test_bad_generator_params_is_io_error(self, tmp_path):
         dest = tmp_path / "x.txt"
         assert main(["generate", "queen", "0", "5", "-o", str(dest)]) == EXIT_IO

@@ -3,8 +3,16 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph
-from snburst import DegenerateGraphError, FrParams, Graph, fr_run, fr_temperature
+import oracles
+from conftest import random_connected_graph, random_graph
+from snburst import (
+    DegenerateGraphError,
+    FrParams,
+    Graph,
+    fr_run,
+    fr_temperature,
+    initial_layout,
+)
 
 
 def triangle():
@@ -68,6 +76,32 @@ class TestRun:
             # Clipping to the area can only shrink a move, never extend it.
             assert np.all(moved <= fr_temperature(t, total, t0) + 1e-12)
             prev = cur
+
+    def test_one_iteration_matches_scalar_oracle(self):
+        rng = random.Random(8)
+        for seed in range(30):
+            n = rng.randint(2, 25)
+            g = random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
+            # FR on the unit area starts from the same splitmix64 stream as SnB.
+            start = initial_layout(g, seed).coords.tolist()
+            got = fr_run(g, FrParams(seed=seed, iterations=1)).final_layout.coords
+            want = oracles.fr_iteration(g, start, fr_temperature(1, 1, 0.1))
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_coincident_vertices_separate(self):
+        # A first step far above the area size clips vertices 2 and 3 of this
+        # edgeless graph into one corner, so iteration 2 starts from a
+        # coincident pair and must push it apart along a hashed direction.
+        g = Graph(6, ())
+        params = FrParams(seed=0, iterations=2, initial_temperature=10.0)
+        r = fr_run(g, params, capture_every=1)
+        first = r.trajectory[0][1].coords
+        assert np.array_equal(first[2], first[3])
+        final = r.final_layout.coords
+        assert np.all(np.isfinite(final))
+        assert len({tuple(p) for p in final}) == g.n
+        again = fr_run(g, params).final_layout.coords
+        assert np.array_equal(final, again)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

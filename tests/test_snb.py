@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import clustered_connected_graph, random_connected_graph, random_graph
+from conftest import (
+    clustered_connected_graph,
+    random_connected_graph,
+    random_graph,
+    random_layout_coords,
+)
 from snburst import (
     DegenerateGraphError,
     DegenerateLayoutError,
@@ -21,6 +26,8 @@ from snburst import (
     snb_step,
     sync_phase_iterations,
 )
+from snburst.layout import pair_directions
+from snburst.rng import hash_angle
 
 
 def cycle(n):
@@ -67,7 +74,52 @@ class TestLayout:
             normalize_layout(Layout(np.array([[1.0, 1.0], [1.0, 1.0]])))
 
 
+class TestPairDirections:
+    def test_unit_antisymmetric_zero_diagonal(self):
+        rng = random.Random(6)
+        coords = random_layout_coords(12, rng)
+        u, d = pair_directions(np.ascontiguousarray(coords.T), 3, 1)
+        assert u.shape == (2, 12, 12) and d.shape == (12, 12)
+        assert np.all(np.diagonal(u, axis1=1, axis2=2) == 0.0)
+        assert np.all(np.diag(d) == 1.0)
+        assert np.array_equal(u, -u.transpose(0, 2, 1))
+        off = ~np.eye(12, dtype=bool)
+        assert np.allclose(np.hypot(u[0], u[1])[off], 1.0, rtol=0, atol=1e-15)
+        for i in range(12):
+            for j in range(12):
+                if i != j:
+                    assert d[i, j] == pytest.approx(math.dist(coords[i], coords[j]), rel=1e-15)
+                    want = (coords[j] - coords[i]) / math.dist(coords[i], coords[j])
+                    assert np.allclose(u[:, i, j], want, rtol=0, atol=1e-15)
+
+    def test_coincident_pairs_get_hashed_direction(self):
+        # Vertices 0, 1 and 3 share one point; vertex 2 is elsewhere.
+        pos = np.array([[0.25, 0.25, 0.75, 0.25], [0.5, 0.5, 0.0, 0.5]])
+        u, d = pair_directions(pos, 7, 11)
+        for i, j in ((0, 1), (0, 3), (1, 3)):
+            assert d[i, j] == d[j, i] == 0.0
+            theta = hash_angle(11, 7, i, j)
+            assert (u[0, i, j], u[1, i, j]) == (math.cos(theta), math.sin(theta))
+            assert np.array_equal(u[:, j, i], -u[:, i, j])
+        assert d[0, 2] > 0.0 and np.allclose(np.hypot(u[0, 0, 2], u[1, 0, 2]), 1.0)
+        again, _ = pair_directions(pos, 7, 11)
+        assert np.array_equal(u, again)
+        later, _ = pair_directions(pos, 8, 11)
+        assert not np.array_equal(u[:, 0, 1], later[:, 0, 1])
+
+
 class TestStep:
+    def test_matches_scalar_oracle(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            n = rng.randint(2, 25)
+            g = random_graph(n, rng.randint(1, n * (n - 1) // 2), rng)
+            coords = random_layout_coords(n, rng)
+            mag = math.exp(rng.uniform(-5.0, 5.0))
+            out = snb_step(g, Layout(coords), mag, SnbParams(sync_param=1.0)).coords
+            want = oracles.snb_step(g, coords.tolist(), mag)
+            assert np.allclose(out, want, rtol=0, atol=1e-12)
+
     def test_two_vertex_symmetry(self):
         g = Graph(2, ((0, 1),))
         rng = random.Random(5)
