@@ -16,12 +16,18 @@ from .graphs import (
     write_edge_list,
     write_graphml,
 )
-from .layout import DegenerateLayoutError, Layout, NumericError, RunRecord, normalize_layout
-from .snb import (
+from .layout import (
     DegenerateGraphError,
+    DegenerateLayoutError,
+    Layout,
+    NumericError,
+    RunRecord,
+    initial_layout,
+    normalize_layout,
+)
+from .snb import (
     SnbParams,
     compute_sync_param,
-    initial_layout,
     log_magnitude,
     log_turning_point_magnitude,
     magnitude,

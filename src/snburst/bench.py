@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .fr import FrParams, fr_run
 from .graphs import Graph, GraphError, parse_edge_list, parse_graphml
-from .layout import RunRecord
+from .layout import DegenerateGraphError, RunRecord
 from .metrics import CSV_FIELDS, compute_metrics
 from .snb import SnbParams, compute_sync_param, snb_run
 
@@ -75,9 +75,8 @@ def run_one(
         )
         record = snb_run(g, params, graph_id=graph_id)
     elif algorithm == "fr":
-        record = fr_run(
-            g, FrParams(seed=seed), graph_id=graph_id, total_multiplier=total_multiplier
-        )
+        params = FrParams(seed=seed, iterations=total_multiplier * g.n)
+        record = fr_run(g, params, graph_id=graph_id)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     record.metrics = compute_metrics(g, record.final_layout)
@@ -93,7 +92,8 @@ def run_corpus(
 ) -> list[RunRecord]:
     """One RunRecord per (graph file, algorithm, seed).
 
-    Unreadable or unparseable files are skipped with a logged warning.
+    Unreadable or unparseable files, and graphs with n < 2 or m < 1 (on
+    which every job would fail), are skipped with a logged warning.
     Records come back sorted by (graph_id, algorithm, seed) regardless of
     worker count, so the record set is deterministic.
     """
@@ -103,11 +103,15 @@ def run_corpus(
     graphs = []
     for path in sorted(p for p in directory.iterdir() if p.is_file()):
         try:
-            graphs.append((path.name, load_graph_file(path)))
-        except (OSError, GraphError, UnicodeDecodeError) as exc:
+            g = load_graph_file(path)
+            if g.n < 2 or g.m < 1:
+                raise DegenerateGraphError(f"needs n >= 2 and m >= 1, got n={g.n}, m={g.m}")
+        except (OSError, GraphError, DegenerateGraphError, UnicodeDecodeError) as exc:
             log.warning("skipping %s: %s", path.name, exc)
+            continue
+        graphs.append((path.name, g))
     if not graphs:
-        raise CorpusError(f"no parseable graph files in {directory}")
+        raise CorpusError(f"no usable graph files in {directory}")
     jobs = [
         (gid, g, alg, seed)
         for gid, g in graphs

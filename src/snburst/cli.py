@@ -17,7 +17,7 @@ import click
 from . import bench as bench_mod
 from .fr import FrParams, fr_run
 from .graphs import GENERATORS, ParseError, write_edge_list, write_graphml
-from .layout import DegenerateLayoutError, NumericError
+from .layout import DegenerateGraphError, DegenerateLayoutError, NumericError
 from .metrics import compute_metrics
 from .render import (
     layout_to_csv,
@@ -25,17 +25,14 @@ from .render import (
     magnitude_curve_to_csv,
     read_layout_csv,
 )
-from .snb import (
-    DegenerateGraphError,
-    SnbParams,
-    compute_sync_param,
-    snb_run,
-    total_magnitude_curve,
-)
+from .snb import SnbParams, compute_sync_param, snb_run, total_magnitude_curve
 
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
+
+POSITIVE_INT = click.IntRange(min=1)
+POSITIVE_FLOAT = click.FloatRange(min=0, min_open=True)
 
 
 @click.group()
@@ -59,9 +56,9 @@ def _load_graph(path: str):
 @click.argument("graph_file", type=click.Path())
 @click.option("--alg", type=click.Choice(["snb", "fr"]), default="snb", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--multiplier", type=int, default=20, show_default=True,
+@click.option("--multiplier", type=POSITIVE_INT, default=20, show_default=True,
               help="Iterations per vertex.")
-@click.option("--sync-param", type=float, default=None,
+@click.option("--sync-param", type=POSITIVE_FLOAT, default=None,
               help="Override s (default: derived from betweenness stdev).")
 @click.option("--out-dir", type=click.Path(), default=None)
 @click.option("--labels", is_flag=True, help="Draw vertex labels in the SVG.")
@@ -72,7 +69,7 @@ def cmd_layout(graph_file, alg, seed, multiplier, sync_param, out_dir, labels):
         s = sync_param if sync_param is not None else compute_sync_param(g)
         record = snb_run(g, SnbParams(sync_param=s, seed=seed, total_multiplier=multiplier))
     else:
-        record = fr_run(g, FrParams(seed=seed), total_multiplier=multiplier)
+        record = fr_run(g, FrParams(seed=seed, iterations=multiplier * g.n))
     out = _out_dir(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(graph_file).stem
@@ -118,10 +115,10 @@ def cmd_metrics(graph_file, layout_csv, fmt, output):
 @click.argument("corpus_dir", type=click.Path())
 @click.option("--alg", "algorithms", multiple=True, type=click.Choice(["snb", "fr"]),
               default=("snb", "fr"), show_default=True)
-@click.option("--seeds", type=int, default=1, show_default=True,
+@click.option("--seeds", type=POSITIVE_INT, default=1, show_default=True,
               help="Seeds per graph.")
-@click.option("--multiplier", type=int, default=20, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--multiplier", type=POSITIVE_INT, default=20, show_default=True)
+@click.option("--workers", type=POSITIVE_INT, default=1, show_default=True,
               help="Worker threads; keep 1 for clean timing.")
 @click.option("--out-dir", type=click.Path(), default=None)
 def cmd_bench(corpus_dir, algorithms, seeds, multiplier, workers, out_dir):
@@ -144,9 +141,9 @@ def cmd_bench(corpus_dir, algorithms, seeds, multiplier, workers, out_dir):
 
 @cli.command("curve")
 @click.argument("graph_file", type=click.Path())
-@click.option("--t-max", type=int, default=None,
+@click.option("--t-max", type=POSITIVE_INT, default=None,
               help="Last iteration (default: 20n).")
-@click.option("--sync-param", type=float, default=None)
+@click.option("--sync-param", type=POSITIVE_FLOAT, default=None)
 @click.option("-o", "--output", type=click.Path(), default=None)
 def cmd_curve(graph_file, t_max, sync_param, output):
     """Emit the total-magnitude curve CSV (t, Ma, Mr, f) for GRAPH_FILE."""
@@ -167,7 +164,8 @@ def cmd_curve(graph_file, t_max, sync_param, output):
 @cli.command("generate")
 @click.argument("name")
 @click.argument("params", nargs=-1, type=int)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=None,
+              help="Scale-free only: generator seed (default 0).")
 @click.option("--target-m", type=int, default=None,
               help="Scale-free only: add extra edges up to this edge count.")
 @click.option("--format", "fmt", type=click.Choice(["edgelist", "graphml"]),
@@ -180,14 +178,10 @@ def cmd_generate(name, params, seed, target_m, fmt, output):
             f"unknown generator {name!r}; available: {', '.join(sorted(GENERATORS))}"
         )
     generator = GENERATORS[name]
-    signature = inspect.signature(generator)
-    options = {
-        key: value
-        for key, value in (("seed", seed), ("target_m", target_m))
-        if key in signature.parameters
-    }
+    # Only the options given are passed on, so one the generator lacks is an error.
+    options = {k: v for k, v in (("seed", seed), ("target_m", target_m)) if v is not None}
     try:
-        signature.bind(*params, **options)
+        inspect.signature(generator).bind(*params, **options)
     except TypeError as exc:
         raise click.UsageError(
             f"bad parameters for {name} ({exc}); see 'snburst generate --help'"

@@ -257,6 +257,7 @@ def gen_heawood() -> Graph:
 def gen_scale_free(
     n: int,
     edges_per_step: int = 1,
+    *,
     seed: int = 0,
     target_m: int | None = None,
 ) -> Graph:

@@ -1,5 +1,5 @@
-"""Layout container, run record, normalization and the pairwise kernel
-shared by both algorithms, the metrics and the harness."""
+"""Layout container, run record, seeded start, normalization and the
+pairwise kernel shared by both algorithms, the metrics and the harness."""
 
 from __future__ import annotations
 
@@ -10,10 +10,14 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .graphs import Graph
-from .rng import hash_angle
+from .rng import SplitMix64, hash_angle
 
 if TYPE_CHECKING:
     from .metrics import MetricsReport
+
+
+class DegenerateGraphError(ValueError):
+    """Graph too small to lay out (SnB needs n >= 2 and m >= 1, FR n >= 2)."""
 
 
 class DegenerateLayoutError(ValueError):
@@ -48,6 +52,14 @@ class Layout:
 
     def __len__(self) -> int:
         return self.coords.shape[0]
+
+
+def initial_layout(g: Graph, seed: int) -> Layout:
+    """Uniform i.i.d. positions in the unit square from a splitmix64 stream:
+    the start of both SnB and FR."""
+    rng = SplitMix64(seed)
+    coords = np.array([[rng.next_float(), rng.next_float()] for _ in range(g.n)])
+    return Layout(coords, 0)
 
 
 def normalize_layout(layout: Layout) -> Layout:

@@ -23,16 +23,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, betweenness
-from .layout import Layout, NumericError, RunRecord, adjacency_matrix, pair_directions
-from .rng import SplitMix64
-
-
-class DegenerateGraphError(ValueError):
-    """Graph too small for the schedule (needs n >= 2 and m >= 1)."""
-
+from .layout import (
+    DegenerateGraphError,
+    Layout,
+    NumericError,
+    RunRecord,
+    adjacency_matrix,
+    initial_layout,
+    pair_directions,
+)
 
 MAX_SYNC_PARAM = 4.0
 SYNC_PARAM_NUMERATOR = 20.0
+# The paper's fixed constants: attraction m*M^0.9, schedule M(t) = (...)^10.
+ATTRACTION_EXPONENT = 0.9
+SCHEDULE_EXPONENT = 10
 
 
 @dataclass(frozen=True)
@@ -40,16 +45,13 @@ class SnbParams:
     """Tunables for one Sync-and-Burst run.
 
     `sync_param` is s: the sync phase lasts about s*n of the
-    total_multiplier*n iterations.  `initial_magnitude` is M(0); None
-    means the default 1/m.
+    total_multiplier*n iterations.  Everything else is the paper's:
+    ATTRACTION_EXPONENT, SCHEDULE_EXPONENT and M(0) = 1/m.
     """
 
     sync_param: float
     seed: int = 0
     total_multiplier: int = 20
-    attraction_exponent: float = 0.9
-    schedule_exponent: int = 10
-    initial_magnitude: float | None = None
 
     def __post_init__(self):
         s = self.sync_param
@@ -58,12 +60,6 @@ class SnbParams:
             raise ValueError(
                 f"need 0 < s < b (s={s}, total_multiplier={self.total_multiplier})"
             )
-        if not (0.0 < self.attraction_exponent < 1.0):
-            raise ValueError("attraction_exponent must lie in (0, 1)")
-        if self.schedule_exponent < 1:
-            raise ValueError("schedule_exponent must be positive")
-        if self.initial_magnitude is not None and self.initial_magnitude <= 0:
-            raise ValueError("initial_magnitude must be positive")
 
 
 def _require_schedulable(g: Graph):
@@ -86,7 +82,7 @@ def log_magnitude(t: int, g: Graph, p: SnbParams) -> float:
         - 2.0 * math.log(g.n)
         - math.log(g.n - 1)
     )
-    return p.schedule_exponent * base
+    return SCHEDULE_EXPONENT * base
 
 
 def magnitude(t: int, g: Graph, p: SnbParams) -> float:
@@ -94,16 +90,16 @@ def magnitude(t: int, g: Graph, p: SnbParams) -> float:
     return math.exp(log_magnitude(t, g, p))
 
 
-def log_turning_point_magnitude(g: Graph, attraction_exponent: float = 0.9) -> float:
+def log_turning_point_magnitude(g: Graph) -> float:
     """Natural log of the magnitude where total attraction equals total repulsion."""
     _require_schedulable(g)
     base = math.log(2.0) + 2.0 * math.log(g.m) - math.log(g.n) - math.log(g.n - 1)
-    return base / (1.0 - attraction_exponent)
+    return base / (1.0 - ATTRACTION_EXPONENT)
 
 
-def turning_point_magnitude(g: Graph, attraction_exponent: float = 0.9) -> float:
-    """M at the sync/burst turning point: (2 m^2 / (n (n-1)))^10 for the default 0.9."""
-    return math.exp(log_turning_point_magnitude(g, attraction_exponent))
+def turning_point_magnitude(g: Graph) -> float:
+    """M at the sync/burst turning point: (2 m^2 / (n (n-1)))^10."""
+    return math.exp(log_turning_point_magnitude(g))
 
 
 def _safe_exp(x: float) -> float:
@@ -123,11 +119,10 @@ def total_magnitude_curve(g: Graph, p: SnbParams, t_max: int):
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     _require_schedulable(g)
-    a = p.attraction_exponent
     rows = []
     for t in range(1, t_max + 1):
         lm = log_magnitude(t, g, p)
-        la = math.log(2.0) + a * lm + 2.0 * math.log(g.m)
+        la = math.log(2.0) + ATTRACTION_EXPONENT * lm + 2.0 * math.log(g.m)
         lr = lm + math.log(g.n) + math.log(g.n - 1)
         ma, mr = _safe_exp(la), _safe_exp(lr)
         f = ma - mr
@@ -161,7 +156,7 @@ def sync_phase_iterations(g: Graph, p: SnbParams) -> int:
 def _step(pos, iteration, adj, ratio, seed):
     """One Sync-and-Burst iteration on a C-contiguous (2, n) coordinate array.
 
-    `ratio` is the attraction:repulsion magnitude ratio m*M^(a-1); the
+    `ratio` is the attraction:repulsion magnitude ratio m*M^(-0.1); the
     common factor M is dropped since the output is renormalized anyway.
     Returns the renormalized (zero centroid, unit max-extent) (2, n) array.
     """
@@ -185,19 +180,10 @@ def snb_step(g: Graph, prev: Layout, magnitude_prev: float, p: SnbParams) -> Lay
         raise ValueError("layout size does not match vertex count")
     if not magnitude_prev > 0.0:
         raise ValueError("magnitude_prev must be positive")
-    ratio = g.m * magnitude_prev ** (p.attraction_exponent - 1.0)
+    ratio = g.m * magnitude_prev ** (ATTRACTION_EXPONENT - 1.0)
     pos = np.ascontiguousarray(prev.coords.T)
     f = _step(pos, prev.iteration, adjacency_matrix(g), ratio, p.seed)
     return Layout(f.T, prev.iteration + 1)
-
-
-def initial_layout(g: Graph, seed: int) -> Layout:
-    """Uniform i.i.d. positions in the unit square from a splitmix64 stream."""
-    rng = SplitMix64(seed)
-    coords = np.array(
-        [[rng.next_float(), rng.next_float()] for _ in range(g.n)], dtype=np.float64
-    )
-    return Layout(coords, 0)
 
 
 def snb_run(
@@ -216,12 +202,8 @@ def snb_run(
     _require_schedulable(g)
     if params is None:
         params = SnbParams(sync_param=compute_sync_param(g))
-    a = params.attraction_exponent
     log_m = math.log(g.m)
-    if params.initial_magnitude is not None:
-        log_mag_prev = math.log(params.initial_magnitude)
-    else:
-        log_mag_prev = -log_m  # M(0) = 1/m
+    log_mag_prev = -log_m  # M(0) = 1/m
     adj = adjacency_matrix(g)
     pos = np.ascontiguousarray(initial_layout(g, params.seed).coords.T)
     total = params.total_multiplier * g.n
@@ -230,7 +212,7 @@ def snb_run(
     trajectory = []
     start = time.perf_counter()
     for t in range(1, total + 1):
-        ratio = math.exp(log_m + (a - 1.0) * log_mag_prev)
+        ratio = math.exp(log_m + (ATTRACTION_EXPONENT - 1.0) * log_mag_prev)
         pos = _step(pos, t - 1, adj, ratio, params.seed)
         log_mag_prev = log_magnitude(t, g, params)
         if t == sync_end:

@@ -99,12 +99,22 @@ class TestRunCorpus:
         assert all(r.metrics is not None for r in records)
 
     def test_skips_corrupt_file(self, tmp_path, caplog):
+        bad = {
+            "broken.txt": "this is not an edge list\n",
+            "single_vertex.txt": "0 0\n",  # self-loop dropped: n = 1, m = 0
+            "two_isolated.txt": "0 0\n1 1\n",  # n = 2, m = 0
+        }
+        for name, text in bad.items():
+            (tmp_path / name).write_text(text)
+        with pytest.raises(CorpusError):  # no usable graph left
+            run_corpus(tmp_path)
         corpus = make_corpus(tmp_path)
-        (corpus / "broken.txt").write_text("this is not an edge list\n")
         with caplog.at_level("WARNING"):
-            records = run_corpus(corpus, algorithms=("snb",))
-        assert len(records) == 3
-        assert "broken.txt" in caplog.text
+            records = run_corpus(corpus, algorithms=("snb", "fr"))
+        assert len(records) == 6
+        assert not set(bad) & {r.graph_id for r in records}
+        for name in bad:
+            assert f"skipping {name}" in caplog.text
 
     def test_empty_dir_raises(self, tmp_path):
         with pytest.raises(CorpusError):

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from snburst import Graph, Layout, gen_wagner, parse_edge_list
+from snburst import Graph, Layout, gen_scale_free, gen_wagner, parse_edge_list, write_edge_list
 from snburst.cli import EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, main
 from snburst.render import (
     layout_to_csv,
@@ -216,9 +216,16 @@ class TestGenerateCommand:
     def test_wrong_param_count_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         for params in (["wagner", "3"], ["heawood", "1"], ["scale-free"],
-                       ["scale-free", "10", "2", "5"]):
+                       ["scale-free", "10", "2", "5"],
+                       # An option the generator does not take.
+                       ["queen", "3", "3", "--target-m", "5"], ["wagner", "--seed", "3"]):
             assert main(["generate", *params]) == EXIT_USAGE
         assert not any(tmp_path.iterdir())
+
+    def test_scale_free_default_seed(self, tmp_path):
+        dest = tmp_path / "sf.txt"
+        assert main(["generate", "scale-free", "10", "2", "-o", str(dest)]) == 0
+        assert dest.read_text() == write_edge_list(gen_scale_free(10, 2, seed=0))
 
     def test_bad_generator_params_is_io_error(self, tmp_path):
         dest = tmp_path / "x.txt"
@@ -228,6 +235,24 @@ class TestGenerateCommand:
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("args", [
+        ["curve", "{graph}", "-o", "{out}", "--t-max", "0"],
+        ["curve", "{graph}", "-o", "{out}", "--sync-param", "-1"],
+        ["layout", "{graph}", "--out-dir", "{out}", "--multiplier", "0"],
+        ["layout", "{graph}", "--out-dir", "{out}", "--sync-param", "0"],
+        ["bench", "{corpus}", "--out-dir", "{out}", "--seeds", "0"],
+        ["bench", "{corpus}", "--out-dir", "{out}", "--workers", "0"],
+        ["bench", "{corpus}", "--out-dir", "{out}", "--multiplier", "0"],
+    ])
+    def test_out_of_range_number_is_usage_error(self, tmp_path, args):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        graph = write_graph(corpus)
+        out = tmp_path / "out"
+        argv = [a.format(graph=graph, corpus=corpus, out=out) for a in args]
+        assert main(argv) == EXIT_USAGE
+        assert not out.exists()
 
     def test_degenerate_graph_is_numeric_error(self, tmp_path):
         # A graph whose layout cannot be normalized: single edge collapses

@@ -52,7 +52,7 @@ class TestRun:
         rng = random.Random(1)
         for seed in range(5):
             g = random_connected_graph(20, 35, rng)
-            r = fr_run(g, FrParams(seed=seed, area_side=1.0))
+            r = fr_run(g, FrParams(seed=seed))
             assert np.all(r.final_layout.coords >= 0.0)
             assert np.all(r.final_layout.coords <= 1.0)
 
@@ -106,8 +106,6 @@ class TestRun:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             FrParams(iterations=0)
-        with pytest.raises(ValueError):
-            FrParams(area_side=-1.0)
         with pytest.raises(ValueError):
             FrParams(initial_temperature=0.0)
 
