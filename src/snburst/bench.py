@@ -175,12 +175,11 @@ def records_to_csv(records: list[RunRecord]) -> str:
             "n": r.n,
             "m": r.m,
             "iterations": r.iterations,
-            "wall_time_total": repr(r.wall_time_total),
-            "wall_time_per_iteration": repr(r.wall_time_per_iteration),
+            "wall_time_total": r.wall_time_total,
+            "wall_time_per_iteration": r.wall_time_per_iteration,
         }
         if r.metrics is not None:
-            for name, value in r.metrics.scalar_row().items():
-                row[name] = "" if value is None else repr(value) if isinstance(value, float) else value
+            row.update(r.metrics.scalar_row())
         writer.writerow(row)
     return buf.getvalue()
 
@@ -189,13 +188,8 @@ def buckets_to_csv(summaries: list[BucketSummary]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=BUCKET_FIELDS, lineterminator="\n")
     writer.writeheader()
-    for s in summaries:
-        row = {
-            "bucket_index": s.bucket_index,
-            "algorithm": s.algorithm,
-            "count": s.count,
-        }
-        for name, value in s.means.items():
-            row[name] = "" if value is None else repr(value)
-        writer.writerow(row)
+    writer.writerows(
+        {"bucket_index": s.bucket_index, "algorithm": s.algorithm, "count": s.count, **s.means}
+        for s in summaries
+    )
     return buf.getvalue()

@@ -48,8 +48,14 @@ def _out_dir(value: str | None) -> Path:
     return Path(os.environ.get("SNBURST_OUT_DIR", "."))
 
 
-def _load_graph(path: str):
-    return bench_mod.load_graph_file(Path(path))
+def _snb_params(g, sync_param, **kwargs) -> SnbParams:
+    """SnbParams for a command, s defaulting to the value derived from `g`; an
+    s the run cannot hold (need 0 < s < total_multiplier - s) is a usage error."""
+    s = sync_param if sync_param is not None else compute_sync_param(g)
+    try:
+        return SnbParams(sync_param=s, **kwargs)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
 
 
 @cli.command("layout")
@@ -64,10 +70,9 @@ def _load_graph(path: str):
 @click.option("--labels", is_flag=True, help="Draw vertex labels in the SVG.")
 def cmd_layout(graph_file, alg, seed, multiplier, sync_param, out_dir, labels):
     """Lay out GRAPH_FILE and write <stem>_<alg>.svg plus a coordinates CSV."""
-    g = _load_graph(graph_file)
+    g = bench_mod.load_graph_file(graph_file)
     if alg == "snb":
-        s = sync_param if sync_param is not None else compute_sync_param(g)
-        record = snb_run(g, SnbParams(sync_param=s, seed=seed, total_multiplier=multiplier))
+        record = snb_run(g, _snb_params(g, sync_param, seed=seed, total_multiplier=multiplier))
     else:
         record = fr_run(g, FrParams(seed=seed, iterations=multiplier * g.n))
     out = _out_dir(out_dir)
@@ -89,7 +94,7 @@ def cmd_layout(graph_file, alg, seed, multiplier, sync_param, out_dir, labels):
               help="Write to a file instead of stdout.")
 def cmd_metrics(graph_file, layout_csv, fmt, output):
     """Compute the aesthetic scorecard of LAYOUT_CSV for GRAPH_FILE."""
-    g = _load_graph(graph_file)
+    g = bench_mod.load_graph_file(graph_file)
     layout = read_layout_csv(Path(layout_csv).read_text(encoding="utf-8"))
     if len(layout) != g.n:
         raise ParseError(
@@ -147,9 +152,8 @@ def cmd_bench(corpus_dir, algorithms, seeds, multiplier, workers, out_dir):
 @click.option("-o", "--output", type=click.Path(), default=None)
 def cmd_curve(graph_file, t_max, sync_param, output):
     """Emit the total-magnitude curve CSV (t, Ma, Mr, f) for GRAPH_FILE."""
-    g = _load_graph(graph_file)
-    s = sync_param if sync_param is not None else compute_sync_param(g)
-    params = SnbParams(sync_param=s)
+    g = bench_mod.load_graph_file(graph_file)
+    params = _snb_params(g, sync_param)
     if t_max is None:
         t_max = params.total_multiplier * g.n
     rows = total_magnitude_curve(g, params, t_max)

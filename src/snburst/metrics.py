@@ -1,8 +1,9 @@
 """Layout aesthetics metrics: crossings, angles, edge lengths, vertex distribution.
 
-All metrics are pure functions of (graph, layout).  Crossing detection and
-the vertex-distribution packing ratio both re-normalize internally where
-their definition demands it, so callers can hand in raw layouts.
+All metrics are pure functions of (graph, layout).  Only the
+vertex-distribution packing ratio normalizes (through `normalize_layout`),
+so it accepts raw layouts; `compute_metrics` normalizes once and scores
+every metric on that layout.
 """
 
 from __future__ import annotations
@@ -160,26 +161,22 @@ def avg_crossing_angle(g: Graph, layout: Layout) -> float:
 def avg_adjacent_angle(g: Graph, layout: Layout) -> float | None:
     """Mean angle (degrees, in [0, 180]) at the shared vertex over all
     unordered pairs of adjacent edges; None if no two edges share a vertex."""
-    c = layout.coords
-    total = 0.0
-    count = 0
-    for v in range(g.n):
-        for a, b in combinations(g.adjacency[v], 2):
-            u1 = c[a] - c[v]
-            u2 = c[b] - c[v]
-            n1 = math.hypot(u1[0], u1[1])
-            n2 = math.hypot(u2[0], u2[1])
-            if n1 == 0.0 or n2 == 0.0:
-                # Zero-length edge in the drawing: the angle is undefined,
-                # score it as 0 (fully folded).
-                count += 1
-                continue
-            cosang = (u1[0] * u2[0] + u1[1] * u2[1]) / (n1 * n2)
-            total += math.degrees(math.acos(max(-1.0, min(1.0, cosang))))
-            count += 1
-    if count == 0:
+    vab = np.fromiter(
+        ((v, a, b) for v in range(g.n) for a, b in combinations(g.adjacency[v], 2)),
+        dtype=(np.intp, 3),
+    )
+    if len(vab) == 0:
         return None
-    return total / count
+    c = layout.coords
+    u1 = c[vab[:, 1]] - c[vab[:, 0]]
+    u2 = c[vab[:, 2]] - c[vab[:, 0]]
+    norms = np.hypot(u1[:, 0], u1[:, 1]) * np.hypot(u2[:, 0], u2[:, 1])
+    # A zero-length edge in the drawing leaves the angle undefined: score
+    # it 0 (fully folded), and still count the pair.
+    folded = norms == 0.0
+    cosang = (u1[:, 0] * u2[:, 0] + u1[:, 1] * u2[:, 1]) / np.where(folded, 1.0, norms)
+    angles = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    return float(np.where(folded, 0.0, angles).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +193,23 @@ def edge_length_stdev(g: Graph, layout: Layout) -> float:
     return float(lengths.std())
 
 
+def _nearest_vertex_distances(coords: np.ndarray) -> np.ndarray:
+    """Distance from each vertex to its nearest other vertex, from the one
+    n x n distance matrix the metrics build."""
+    x, y = coords[:, 0], coords[:, 1]
+    dx = x[None, :] - x[:, None]
+    dy = y[None, :] - y[:, None]
+    d = np.sqrt(dx * dx + dy * dy)
+    np.fill_diagonal(d, np.inf)
+    return d.min(axis=1)
+
+
 def min_pair_distance_scaled(layout: Layout) -> float:
     """Minimum pairwise vertex distance multiplied by the vertex count."""
     n = len(layout)
     if n < 2:
         raise ValueError("need at least two vertices")
-    c = layout.coords
-    dx = c[:, 0][None, :] - c[:, 0][:, None]
-    dy = c[:, 1][None, :] - c[:, 1][:, None]
-    d = np.sqrt(dx * dx + dy * dy)
-    iu = np.triu_indices(n, 1)
-    return n * float(d[iu].min())
+    return n * float(_nearest_vertex_distances(layout.coords).min())
 
 
 # ---------------------------------------------------------------------------
@@ -228,42 +231,22 @@ class VertexDistribution:
 def vertex_distribution(layout: Layout) -> VertexDistribution:
     """Packing ratio D = pi * sum(r_i^2) / A on the tight bounding rectangle.
 
-    The layout is first rescaled so the larger bounding-box side has unit
-    length (making D independent of the caller's normalization).  r_i is
-    min(half the distance to the nearest other vertex, distance to the
-    nearest rectangle side); A the rectangle area.  A zero-height box is
-    clamped to 1e-9 and flagged.
+    The layout is first normalized with `normalize_layout` (larger
+    bounding-box side of unit length), making D independent of the caller's
+    normalization.  r_i is min(half the distance to the nearest other
+    vertex, distance to the nearest rectangle side); A the rectangle area.
+    A zero-height box is clamped to 1e-9 and flagged.  All-coincident
+    vertices raise DegenerateLayoutError.
     """
-    n = len(layout)
-    if n < 2:
+    if len(layout) < 2:
         raise ValueError("need at least two vertices")
-    c = layout.coords
-    lo = c.min(axis=0)
-    hi = c.max(axis=0)
-    side = float(max(hi[0] - lo[0], hi[1] - lo[1]))
-    if side == 0.0:
-        raise ValueError("all vertices coincide")
-    c = (c - lo) / side
-    w = float((hi[0] - lo[0]) / side)
-    h = float((hi[1] - lo[1]) / side)
-    degenerate = False
-    if w < MIN_BOX_SIDE:
-        w = MIN_BOX_SIDE
-        degenerate = True
-    if h < MIN_BOX_SIDE:
-        h = MIN_BOX_SIDE
-        degenerate = True
-    dx = c[:, 0][None, :] - c[:, 0][:, None]
-    dy = c[:, 1][None, :] - c[:, 1][:, None]
-    d = np.sqrt(dx * dx + dy * dy)
-    np.fill_diagonal(d, np.inf)
-    d_star = d.min(axis=1)
-    d_border = np.minimum.reduce(
-        [c[:, 0], w - c[:, 0], c[:, 1], h - c[:, 1]]
-    )
-    d_border = np.maximum(d_border, 0.0)
+    c = normalize_layout(layout).coords
+    extent = c.max(axis=0)
+    box = np.maximum(extent, MIN_BOX_SIDE)
+    d_star = _nearest_vertex_distances(c)
+    d_border = np.minimum(c, box - c).min(axis=1)
     radii = np.minimum(d_star / 2.0, d_border)
-    area = w * h
+    area = float(box[0] * box[1])
     dist = float(math.pi * (radii**2).sum() / area)
     return VertexDistribution(
         distribution=dist,
@@ -271,7 +254,7 @@ def vertex_distribution(layout: Layout) -> VertexDistribution:
         nearest_vertex_distances=tuple(float(x) for x in d_star),
         border_distances=tuple(float(x) for x in d_border),
         area=area,
-        degenerate=degenerate,
+        degenerate=bool((extent < MIN_BOX_SIDE).any()),
     )
 
 
@@ -289,7 +272,7 @@ def compute_metrics(g: Graph, layout: Layout) -> MetricsReport:
         avg_crossing_angle=float(angles.mean()) if len(angles) else 90.0,
         avg_adjacent_angle=avg_adjacent_angle(g, norm),
         edge_length_stdev=edge_length_stdev(g, norm),
-        min_pair_distance_scaled=min_pair_distance_scaled(norm),
+        min_pair_distance_scaled=g.n * min(vd.nearest_vertex_distances),
         vertex_distribution=vd.distribution,
         drawing_area=vd.area,
         per_vertex_radii=vd.radii,

@@ -58,8 +58,7 @@ def layout_to_csv(layout: Layout) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["vertex", "x", "y"])
-    for i, (x, y) in enumerate(norm.coords):
-        writer.writerow([i, repr(float(x)), repr(float(y))])
+    writer.writerows([i, x, y] for i, (x, y) in enumerate(norm.coords))
     return buf.getvalue()
 
 
@@ -87,9 +86,9 @@ def trajectory_to_csv(trajectory) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t", "vertex", "x", "y"])
-    for t, layout in trajectory:
-        for i, (x, y) in enumerate(layout.coords):
-            writer.writerow([t, i, repr(float(x)), repr(float(y))])
+    writer.writerows(
+        [t, i, x, y] for t, layout in trajectory for i, (x, y) in enumerate(layout.coords)
+    )
     return buf.getvalue()
 
 
@@ -98,6 +97,5 @@ def magnitude_curve_to_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t", "Ma", "Mr", "f"])
-    for t, ma, mr, f in rows:
-        writer.writerow([t, repr(ma), repr(mr), repr(f)])
+    writer.writerows(rows)
     return buf.getvalue()

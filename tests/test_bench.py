@@ -169,13 +169,17 @@ class TestBucketize:
 
 class TestCsv:
     def test_records_csv_roundtrips(self):
-        records = [fake_record(12, "snb", 2), fake_record(12, "fr", 8)]
+        records = [fake_record(12, "snb", 2), fake_record(12, "fr", 8, adjacent=None)]
         text = records_to_csv(records)
         rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == 2
         assert list(rows[0]) == RECORD_FIELDS
         assert rows[0]["crossings"] == "2"
-        assert float(rows[0]["edge_length_stdev"]) == pytest.approx(0.1)
+        # Floats are written exactly: each cell reads back to the same value.
+        assert float(rows[0]["edge_length_stdev"]) == 0.1
+        assert float(rows[0]["wall_time_per_iteration"]) == 1.0 / 240
+        assert float(rows[0]["avg_adjacent_angle"]) == 100.0
+        assert rows[1]["avg_adjacent_angle"] == ""
 
     def test_records_csv_deterministic(self):
         records = [fake_record(12, "snb", 2)]

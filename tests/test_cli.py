@@ -49,9 +49,10 @@ class TestRender:
         assert "alpha" in svg and "beta" in svg
 
     def test_layout_csv_roundtrip(self):
-        layout = Layout(np.array([[0.0, 0.0], [1.0, 0.25], [0.5, 1.0]]))
+        # Already normalized, so the CSV holds these exact values.
+        layout = Layout(np.array([[0.0, 0.0], [1.0, 0.1], [1.0 / 3.0, 1.0]]))
         back = read_layout_csv(layout_to_csv(layout))
-        assert np.allclose(back.coords, layout.coords)
+        assert np.array_equal(back.coords, layout.coords)
 
     def test_layout_csv_bad_header(self):
         with pytest.raises(ValueError, match="header"):
@@ -244,6 +245,10 @@ class TestExitCodes:
         ["bench", "{corpus}", "--out-dir", "{out}", "--seeds", "0"],
         ["bench", "{corpus}", "--out-dir", "{out}", "--workers", "0"],
         ["bench", "{corpus}", "--out-dir", "{out}", "--multiplier", "0"],
+        # s must be below total_multiplier - s.
+        ["layout", "{graph}", "--out-dir", "{out}", "--sync-param", "25"],
+        ["layout", "{graph}", "--out-dir", "{out}", "--multiplier", "5", "--sync-param", "3"],
+        ["curve", "{graph}", "-o", "{out}", "--sync-param", "10"],
     ])
     def test_out_of_range_number_is_usage_error(self, tmp_path, args):
         corpus = tmp_path / "corpus"

@@ -16,6 +16,7 @@ from snburst import (
     count_crossings,
     edge_length_stdev,
     find_crossings,
+    gen_queen,
     min_pair_distance_scaled,
     vertex_distribution,
 )
@@ -109,6 +110,13 @@ class TestAdjacentAngles:
         g = Graph(4, ((0, 1), (2, 3)))
         assert avg_adjacent_angle(g, L((0, 0), (1, 0), (0, 1), (1, 1))) is None
 
+    def test_zero_length_edge_scores_zero(self):
+        # Vertex 3 sits on vertex 0: the pairs with edge 0-3 score 0 and
+        # still count, so the mean of (90, 0, 0) is 30.
+        g = Graph(4, ((0, 1), (0, 2), (0, 3)))
+        layout = L((0, 0), (1, 0), (0, 1), (0, 0))
+        assert avg_adjacent_angle(g, layout) == pytest.approx(30.0)
+
     def test_matches_oracle_random(self):
         rng = random.Random(9)
         for _ in range(60):
@@ -118,6 +126,11 @@ class TestAdjacentAngles:
             got = avg_adjacent_angle(g, Layout(coords))
             want = oracles.avg_adjacent_angle(g, coords)
             assert got == pytest.approx(want, rel=1e-9)
+        # Dense: queen 8x8 has degrees 21-27.
+        g = gen_queen(8, 8)
+        coords = random_layout_coords(g.n, rng)
+        got = avg_adjacent_angle(g, Layout(coords))
+        assert got == pytest.approx(oracles.avg_adjacent_angle(g, coords), rel=1e-9)
 
 
 class TestLengthsAndDistances:
@@ -175,6 +188,10 @@ class TestVertexDistribution:
         # Center point: nearest vertex 0.5 away -> radius 0.25.
         assert vd.distribution == pytest.approx(math.pi * 0.25**2)
         assert vd.radii[4] == pytest.approx(0.25)
+
+    def test_all_coincident_raises(self):
+        with pytest.raises(ValueError, match="coincide"):
+            vertex_distribution(L((0.5, 0.5), (0.5, 0.5), (0.5, 0.5)))
 
     def test_scale_invariant(self):
         rng = random.Random(11)
