@@ -7,7 +7,9 @@ environment variable.
 
 from __future__ import annotations
 
+import csv
 import inspect
+import io
 import json
 import sys
 from pathlib import Path
@@ -65,11 +67,13 @@ def _snb_params(g, sync_param, **kwargs) -> SnbParams:
 @click.option("--multiplier", type=POSITIVE_INT, default=20, show_default=True,
               help="Iterations per vertex.")
 @click.option("--sync-param", type=POSITIVE_FLOAT, default=None,
-              help="Override s (default: derived from betweenness stdev).")
+              help="SnB only: override s (default: derived from betweenness stdev).")
 @click.option("--out-dir", type=click.Path(), default=None)
 @click.option("--labels", is_flag=True, help="Draw vertex labels in the SVG.")
 def cmd_layout(graph_file, alg, seed, multiplier, sync_param, out_dir, labels):
     """Lay out GRAPH_FILE and write <stem>_<alg>.svg plus a coordinates CSV."""
+    if alg == "fr" and sync_param is not None:
+        raise click.UsageError("--sync-param applies to --alg snb only")
     g = bench_mod.load_graph_file(graph_file)
     if alg == "snb":
         record = snb_run(g, _snb_params(g, sync_param, seed=seed, total_multiplier=multiplier))
@@ -105,10 +109,10 @@ def cmd_metrics(graph_file, layout_csv, fmt, output):
         text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     else:
         row = report.scalar_row()
-        header = ",".join(row)
-        values = ",".join("" if v is None else repr(v) if isinstance(v, float) else str(v)
-                          for v in row.values())
-        text = f"{header}\n{values}\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerows([row, row.values()])
+        text = buf.getvalue()
     if output:
         Path(output).write_text(text)
         click.echo(f"wrote {output}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 
 import numpy as np
 
@@ -63,7 +64,11 @@ def layout_to_csv(layout: Layout) -> str:
 
 
 def read_layout_csv(text: str) -> Layout:
-    """Read a "vertex,x,y" CSV back into a Layout (rows sorted by vertex)."""
+    """Read a "vertex,x,y" CSV back into a Layout (rows sorted by vertex).
+
+    Malformed input (short rows, non-finite coordinates, ids other than
+    0..n-1) raises ValueError.
+    """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:3]] != ["vertex", "x", "y"]:
@@ -72,7 +77,12 @@ def read_layout_csv(text: str) -> Layout:
     for row in reader:
         if not row:
             continue
-        rows.append((int(row[0]), float(row[1]), float(row[2])))
+        if len(row) < 3:
+            raise ValueError(f"layout CSV line {reader.line_num}: expected vertex,x,y")
+        v, x, y = int(row[0]), float(row[1]), float(row[2])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"layout CSV line {reader.line_num}: non-finite coordinate")
+        rows.append((v, x, y))
     if not rows:
         raise ValueError("layout CSV contains no rows")
     rows.sort()

@@ -11,13 +11,14 @@ step output is renormalized (zero centroid, unit max-extent); this is
 exactly trajectory-preserving because the step depends only on directions
 between points.  Inside the loop the coordinates are a C-contiguous (2, n)
 float64 array of x and y rows, and the directions come from
-`layout.pair_directions`, which the FR baseline shares.
+`layout.pair_directions`, which the FR baseline shares.  `snb_run` holds
+only the SnB iteration, as a generator of positions; `layout.iterate`
+starts, times, checks, snapshots and records it, as it does for FR.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +27,9 @@ from .graphs import Graph, betweenness
 from .layout import (
     DegenerateGraphError,
     Layout,
-    NumericError,
     RunRecord,
     adjacency_matrix,
-    initial_layout,
+    iterate,
     pair_directions,
 )
 
@@ -145,22 +145,22 @@ def compute_sync_param(g: Graph) -> float:
 
 
 def sync_phase_iterations(g: Graph, p: SnbParams) -> int:
-    """Iteration count of the sync phase: ceil(s*n), capped by the total."""
-    return min(math.ceil(p.sync_param * g.n), p.total_multiplier * g.n)
+    """Iteration count of the sync phase: ceil(s*n)."""
+    return math.ceil(p.sync_param * g.n)
 
 
 # ---------------------------------------------------------------------------
 # Stepping
 
 
-def _step(pos, iteration, adj, ratio, seed):
-    """One Sync-and-Burst iteration on a C-contiguous (2, n) coordinate array.
+def _step(u, adj, ratio):
+    """One Sync-and-Burst iteration from the unit directions `u` of
+    `layout.pair_directions`.
 
     `ratio` is the attraction:repulsion magnitude ratio m*M^(-0.1); the
     common factor M is dropped since the output is renormalized anyway.
     Returns the renormalized (zero centroid, unit max-extent) (2, n) array.
     """
-    u, _ = pair_directions(pos, iteration, seed)
     # Force sum per vertex: ratio on adjacent pairs minus 1 on all pairs.
     # u has a zero diagonal, so the i = j terms drop out by themselves.
     f = ratio * np.einsum("ij,cij->ci", adj, u) - u.sum(axis=2)
@@ -168,8 +168,6 @@ def _step(pos, iteration, adj, ratio, seed):
     extent = np.ptp(f, axis=1).max()
     if extent > 0.0:
         f /= extent
-    if not np.all(np.isfinite(f)):
-        raise NumericError("non-finite coordinates produced by step")
     return f
 
 
@@ -181,9 +179,8 @@ def snb_step(g: Graph, prev: Layout, magnitude_prev: float, p: SnbParams) -> Lay
     if not magnitude_prev > 0.0:
         raise ValueError("magnitude_prev must be positive")
     ratio = g.m * magnitude_prev ** (ATTRACTION_EXPONENT - 1.0)
-    pos = np.ascontiguousarray(prev.coords.T)
-    f = _step(pos, prev.iteration, adjacency_matrix(g), ratio, p.seed)
-    return Layout(f.T, prev.iteration + 1)
+    u, _ = pair_directions(np.ascontiguousarray(prev.coords.T), prev.iteration, p.seed)
+    return Layout(_step(u, adjacency_matrix(g), ratio).T, prev.iteration + 1)
 
 
 def snb_run(
@@ -196,41 +193,29 @@ def snb_run(
     """Full Sync-and-Burst run: total_multiplier*n steps from a seeded random layout.
 
     Deterministic given (g, params).  Per the pseudocode convention, the
-    step at iteration t uses M(t-1), starting from M(0) = 1/m.  With
-    `capture_every` = k > 0 every k-th layout is kept in the trajectory.
+    step at iteration t uses M(t-1), starting from M(0) = 1/m, and hashes
+    coincident pairs with index t-1.  The layout at the end of the sync
+    phase is kept; with `capture_every` = k > 0 so is every k-th layout.
     """
     _require_schedulable(g)
     if params is None:
         params = SnbParams(sync_param=compute_sync_param(g))
     log_m = math.log(g.m)
-    log_mag_prev = -log_m  # M(0) = 1/m
     adj = adjacency_matrix(g)
-    pos = np.ascontiguousarray(initial_layout(g, params.seed).coords.T)
-    total = params.total_multiplier * g.n
-    sync_end = sync_phase_iterations(g, params)
-    sync_end_layout = None
-    trajectory = []
-    start = time.perf_counter()
-    for t in range(1, total + 1):
-        ratio = math.exp(log_m + (ATTRACTION_EXPONENT - 1.0) * log_mag_prev)
-        pos = _step(pos, t - 1, adj, ratio, params.seed)
-        log_mag_prev = log_magnitude(t, g, params)
-        if t == sync_end:
-            sync_end_layout = Layout(pos.T, t)
-        if capture_every and t % capture_every == 0:
-            trajectory.append((t, Layout(pos.T, t)))
-    elapsed = time.perf_counter() - start
-    layout = Layout(pos.T, total)
-    return RunRecord(
+
+    def positions(pos):
+        log_mag_prev = -log_m  # M(0) = 1/m
+        for t in range(1, params.total_multiplier * g.n + 1):
+            ratio = math.exp(log_m + (ATTRACTION_EXPONENT - 1.0) * log_mag_prev)
+            # u and d stay bound across the yield (see `iterate`).
+            u, d = pair_directions(pos, t - 1, params.seed)
+            pos = _step(u, adj, ratio)
+            yield pos
+            log_mag_prev = log_magnitude(t, g, params)
+
+    return iterate(
+        g, "snb", params.seed, positions,
         graph_id=graph_id,
-        algorithm="snb",
-        seed=params.seed,
-        n=g.n,
-        m=g.m,
-        iterations=total,
-        wall_time_total=elapsed,
-        wall_time_per_iteration=elapsed / total,
-        final_layout=layout,
-        sync_end_layout=sync_end_layout,
-        trajectory=trajectory,
+        capture_every=capture_every,
+        sync_end=sync_phase_iterations(g, params),
     )

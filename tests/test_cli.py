@@ -62,6 +62,15 @@ class TestRender:
         with pytest.raises(ValueError, match="0..n-1"):
             read_layout_csv("vertex,x,y\n0,0,0\n2,1,1\n")
 
+    @pytest.mark.parametrize("text, match", [
+        ("vertex,x,y\n0,0,0\n1\n", "line 3: expected vertex,x,y"),
+        ("vertex,x,y\n0,0,0\n1,nan,1\n", "line 3: non-finite"),
+        ("vertex,x,y\n0,inf,0\n1,1,1\n", "line 2: non-finite"),
+    ], ids=["short-row", "nan", "inf"])
+    def test_layout_csv_malformed_row(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            read_layout_csv(text)
+
     def test_trajectory_csv(self):
         traj = [(5, Layout(np.array([[0.0, 0.0], [1.0, 1.0]]), 5))]
         rows = list(csv.reader(io.StringIO(trajectory_to_csv(traj))))
@@ -249,6 +258,8 @@ class TestExitCodes:
         ["layout", "{graph}", "--out-dir", "{out}", "--sync-param", "25"],
         ["layout", "{graph}", "--out-dir", "{out}", "--multiplier", "5", "--sync-param", "3"],
         ["curve", "{graph}", "-o", "{out}", "--sync-param", "10"],
+        # s is a Sync-and-Burst parameter; FR cannot use it.
+        ["layout", "{graph}", "--out-dir", "{out}", "--alg", "fr", "--sync-param", "2"],
     ])
     def test_out_of_range_number_is_usage_error(self, tmp_path, args):
         corpus = tmp_path / "corpus"
@@ -258,6 +269,14 @@ class TestExitCodes:
         argv = [a.format(graph=graph, corpus=corpus, out=out) for a in args]
         assert main(argv) == EXIT_USAGE
         assert not out.exists()
+
+    @pytest.mark.parametrize("rows", ["0,0,0\n1\n", "0,0,0\n1,nan,1\n"],
+                             ids=["short-row", "nan"])
+    def test_malformed_layout_csv_is_io_error(self, tmp_path, rows):
+        graph = write_graph(tmp_path, text="0 1\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("vertex,x,y\n" + rows)
+        assert main(["metrics", str(graph), str(bad)]) == EXIT_IO
 
     def test_degenerate_graph_is_numeric_error(self, tmp_path):
         # A graph whose layout cannot be normalized: single edge collapses

@@ -21,6 +21,7 @@ from snburst import (
     gen_queen,
     gen_wagner,
     initial_layout,
+    magnitude,
     normalize_layout,
     snb_run,
     snb_step,
@@ -223,6 +224,24 @@ class TestRun:
         g = cycle(5)
         r = snb_run(g, SnbParams(sync_param=2.0, seed=0), capture_every=10)
         assert [t for t, _ in r.trajectory] == list(range(10, 101, 10))
+
+    def test_run_is_a_chain_of_steps(self):
+        # The timed loop and the one-step API advance the same way: every
+        # captured frame is snb_step of the frame before it.
+        rng = random.Random(31)
+        for seed in range(4):
+            n = rng.randint(3, 12)
+            g = random_connected_graph(n, rng.randint(n - 1, n * (n - 1) // 2), rng)
+            p = SnbParams(sync_param=rng.uniform(0.5, 4.0), seed=seed, total_multiplier=10)
+            r = snb_run(g, p, capture_every=1)
+            frames = [initial_layout(g, seed)] + [layout for _, layout in r.trajectory]
+            assert len(frames) == r.iterations + 1
+            for t in range(1, len(frames)):
+                mag = magnitude(t - 1, g, p) if t > 1 else 1.0 / g.m
+                want = snb_step(g, frames[t - 1], mag, p)
+                assert want.iteration == frames[t].iteration == t
+                assert np.allclose(frames[t].coords, want.coords, rtol=0, atol=1e-12)
+            assert np.array_equal(frames[-1].coords, r.final_layout.coords)
 
     def test_sync_end_capture(self):
         g = cycle(10)
