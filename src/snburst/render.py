@@ -66,8 +66,8 @@ def layout_to_csv(layout: Layout) -> str:
 def read_layout_csv(text: str) -> Layout:
     """Read a "vertex,x,y" CSV back into a Layout (rows sorted by vertex).
 
-    Malformed input (short rows, non-finite coordinates, ids other than
-    0..n-1) raises ValueError.
+    Malformed input (short rows, non-numeric cells, non-finite coordinates,
+    ids other than 0..n-1) raises ValueError.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
@@ -79,7 +79,10 @@ def read_layout_csv(text: str) -> Layout:
             continue
         if len(row) < 3:
             raise ValueError(f"layout CSV line {reader.line_num}: expected vertex,x,y")
-        v, x, y = int(row[0]), float(row[1]), float(row[2])
+        try:
+            v, x, y = int(row[0]), float(row[1]), float(row[2])
+        except ValueError:
+            raise ValueError(f"layout CSV line {reader.line_num}: non-numeric cell") from None
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"layout CSV line {reader.line_num}: non-finite coordinate")
         rows.append((v, x, y))

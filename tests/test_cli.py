@@ -66,7 +66,9 @@ class TestRender:
         ("vertex,x,y\n0,0,0\n1\n", "line 3: expected vertex,x,y"),
         ("vertex,x,y\n0,0,0\n1,nan,1\n", "line 3: non-finite"),
         ("vertex,x,y\n0,inf,0\n1,1,1\n", "line 2: non-finite"),
-    ], ids=["short-row", "nan", "inf"])
+        ("vertex,x,y\nfoo,0,0\n", "line 2: non-numeric"),
+        ("vertex,x,y\n0,0,0\n1,1,one\n", "line 3: non-numeric"),
+    ], ids=["short-row", "nan", "inf", "non-numeric-id", "non-numeric-coordinate"])
     def test_layout_csv_malformed_row(self, text, match):
         with pytest.raises(ValueError, match=match):
             read_layout_csv(text)
@@ -270,8 +272,8 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert not out.exists()
 
-    @pytest.mark.parametrize("rows", ["0,0,0\n1\n", "0,0,0\n1,nan,1\n"],
-                             ids=["short-row", "nan"])
+    @pytest.mark.parametrize("rows", ["0,0,0\n1\n", "0,0,0\n1,nan,1\n", "foo,0,0\n"],
+                             ids=["short-row", "nan", "non-numeric"])
     def test_malformed_layout_csv_is_io_error(self, tmp_path, rows):
         graph = write_graph(tmp_path, text="0 1\n")
         bad = tmp_path / "bad.csv"

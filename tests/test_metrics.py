@@ -1,11 +1,13 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import random_connected_graph, random_graph, random_layout_coords
+from snburst import metrics
 from snburst import (
     Graph,
     Layout,
@@ -89,6 +91,63 @@ class TestCrossings:
                 assert avg_crossing_angle(g, layout) == pytest.approx(
                     oracles.avg_crossing_angle(g, coords), rel=1e-9
                 )
+
+
+class TestCrossingBlocks:
+    """find_crossings walks row blocks of edges; the blocks must not show."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(16)
+        for _ in range(6):
+            n = rng.randint(8, 16)
+            g = random_graph(n, rng.randint(20, min(60, n * (n - 1) // 2)), rng)
+            yield g, random_layout_coords(n, rng), True
+            # Distinct integer-lattice points: collinear and touching pairs.
+            pts = rng.sample([(x, y) for x in range(4) for y in range(4)], n)
+            yield g, np.array(pts, dtype=float), True
+            # Lattice points that may coincide: zero-length edges.
+            pts = [(rng.randrange(3), rng.randrange(3)) for _ in range(n)]
+            yield g, np.array(pts, dtype=float), False
+        for r, c in ((4, 4), (3, 5)):
+            g = gen_queen(r, c)
+            grid = np.array([(i % c, i // c) for i in range(g.n)], dtype=float)
+            yield g, grid, True
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_blocks_match_oracle_and_single_block(self, monkeypatch, rows):
+        partial_last_block = False
+        for g, coords, distinct in self.cases():
+            layout = Layout(coords)
+            monkeypatch.setattr(metrics, "CROSSING_BLOCK_PAIRS", g.m * g.m)
+            whole_pairs, whole_angles = find_crossings(g, layout)
+            monkeypatch.setattr(metrics, "CROSSING_BLOCK_PAIRS", rows * g.m)
+            pairs, angles = find_crossings(g, layout)
+            assert np.array_equal(pairs, whole_pairs)
+            assert np.array_equal(angles, whole_angles)
+            assert pairs.dtype == whole_pairs.dtype and angles.dtype == whole_angles.dtype
+            if distinct:
+                assert list(map(tuple, pairs.tolist())) == oracles.crossing_pairs(g, coords)
+            partial_last_block |= (g.m - 1) % rows != 0
+        assert rows == 1 or partial_last_block
+
+    def test_too_few_edges(self):
+        for g in (Graph(2, ()), Graph(2, ((0, 1),))):
+            pairs, angles = find_crossings(g, L((0, 0), (1, 1)))
+            assert pairs.shape == (0, 2) and angles.shape == (0,)
+
+    def test_metrics_memory_bounded(self):
+        # All m(m-1)/2 = 3.4 M edge pairs of queen 12x12 at once would trace
+        # ~475 MB; in row blocks the peak is the output plus one block.
+        g = gen_queen(12, 12)
+        layout = Layout(np.random.default_rng(0).random((g.n, 2)))
+        tracemalloc.start()
+        try:
+            compute_metrics(g, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestAdjacentAngles:
