@@ -64,7 +64,8 @@ def run_one(
     graph_id: str = "",
     total_multiplier: int = 20,
 ) -> RunRecord:
-    """Run one algorithm on one graph and attach the metric scorecard.
+    """Run one algorithm on one graph, label the record `graph_id` and
+    attach the metric scorecard.
 
     Only the iteration loop is timed; parsing and metrics stay outside the
     clock so per-iteration times isolate the layout work itself.
@@ -73,12 +74,12 @@ def run_one(
         params = SnbParams(
             sync_param=compute_sync_param(g), seed=seed, total_multiplier=total_multiplier
         )
-        record = snb_run(g, params, graph_id=graph_id)
+        record = snb_run(g, params)
     elif algorithm == "fr":
-        params = FrParams(seed=seed, iterations=total_multiplier * g.n)
-        record = fr_run(g, params, graph_id=graph_id)
+        record = fr_run(g, FrParams(seed=seed, total_multiplier=total_multiplier))
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    record.graph_id = graph_id
     record.metrics = compute_metrics(g, record.final_layout)
     return record
 

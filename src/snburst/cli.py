@@ -7,9 +7,7 @@ environment variable.
 
 from __future__ import annotations
 
-import csv
 import inspect
-import io
 import json
 import sys
 from pathlib import Path
@@ -18,10 +16,11 @@ import click
 
 from . import bench as bench_mod
 from .fr import FrParams, fr_run
-from .graphs import GENERATORS, ParseError, write_edge_list, write_graphml
+from .graphs import GENERATORS, GraphError, ParseError, write_edge_list, write_graphml
 from .layout import DegenerateGraphError, DegenerateLayoutError, NumericError
 from .metrics import compute_metrics
 from .render import (
+    csv_text,
     layout_to_csv,
     layout_to_svg,
     magnitude_curve_to_csv,
@@ -62,7 +61,8 @@ def _snb_params(g, sync_param, **kwargs) -> SnbParams:
 
 @cli.command("layout")
 @click.argument("graph_file", type=click.Path())
-@click.option("--alg", type=click.Choice(["snb", "fr"]), default="snb", show_default=True)
+@click.option("--alg", type=click.Choice(bench_mod.ALGORITHMS), default="snb",
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--multiplier", type=POSITIVE_INT, default=20, show_default=True,
               help="Iterations per vertex.")
@@ -78,7 +78,7 @@ def cmd_layout(graph_file, alg, seed, multiplier, sync_param, out_dir, labels):
     if alg == "snb":
         record = snb_run(g, _snb_params(g, sync_param, seed=seed, total_multiplier=multiplier))
     else:
-        record = fr_run(g, FrParams(seed=seed, iterations=multiplier * g.n))
+        record = fr_run(g, FrParams(seed=seed, total_multiplier=multiplier))
     out = _out_dir(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(graph_file).stem
@@ -109,10 +109,7 @@ def cmd_metrics(graph_file, layout_csv, fmt, output):
         text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     else:
         row = report.scalar_row()
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows([row, row.values()])
-        text = buf.getvalue()
+        text = csv_text(row.keys(), [row.values()])
     if output:
         Path(output).write_text(text)
         click.echo(f"wrote {output}")
@@ -122,8 +119,8 @@ def cmd_metrics(graph_file, layout_csv, fmt, output):
 
 @cli.command("bench")
 @click.argument("corpus_dir", type=click.Path())
-@click.option("--alg", "algorithms", multiple=True, type=click.Choice(["snb", "fr"]),
-              default=("snb", "fr"), show_default=True)
+@click.option("--alg", "algorithms", multiple=True, type=click.Choice(bench_mod.ALGORITHMS),
+              default=bench_mod.ALGORITHMS, show_default=True)
 @click.option("--seeds", type=POSITIVE_INT, default=1, show_default=True,
               help="Seeds per graph.")
 @click.option("--multiplier", type=POSITIVE_INT, default=20, show_default=True)
@@ -194,7 +191,10 @@ def cmd_generate(name, params, seed, target_m, fmt, output):
         raise click.UsageError(
             f"bad parameters for {name} ({exc}); see 'snburst generate --help'"
         ) from None
-    g = generator(*params, **options)
+    try:
+        g = generator(*params, **options)
+    except GraphError as exc:
+        raise click.UsageError(f"bad parameters for {name}: {exc}") from None
     text = write_edge_list(g) if fmt == "edgelist" else write_graphml(g)
     if output is None:
         suffix = ".txt" if fmt == "edgelist" else ".graphml"

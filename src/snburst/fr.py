@@ -27,22 +27,21 @@ from .layout import (
 )
 
 _COINCIDENT_DIST = 1e-9
+# The temperature at iteration 1, sized for the unit square FR lives on.
+INITIAL_TEMPERATURE = 0.1
 
 
 @dataclass(frozen=True)
 class FrParams:
-    """FR tunables.  `iterations` None means 20n; the initial temperature
-    defaults to 0.1 because the layout lives on the unit square."""
+    """FR tunables, shaped like SnbParams: the run takes total_multiplier*n
+    iterations from the seeded start.  INITIAL_TEMPERATURE is fixed."""
 
-    iterations: int | None = None
-    initial_temperature: float = 0.1
     seed: int = 0
+    total_multiplier: int = 20
 
     def __post_init__(self):
-        if self.iterations is not None and self.iterations < 1:
-            raise ValueError("iterations must be positive")
-        if self.initial_temperature <= 0:
-            raise ValueError("initial_temperature must be positive")
+        if self.total_multiplier < 1:
+            raise ValueError(f"need total_multiplier >= 1, got {self.total_multiplier}")
 
 
 def fr_temperature(t: int, total: int, t0: float) -> float:
@@ -54,10 +53,9 @@ def fr_run(
     g: Graph,
     params: FrParams | None = None,
     *,
-    graph_id: str = "",
     capture_every: int = 0,
 ) -> RunRecord:
-    """Run FR for the configured iteration count (default 20n).
+    """Run FR for total_multiplier*n iterations.
 
     Deterministic given (g, params), from SnB's seeded start.  Coincident
     vertices get a deterministic hashed direction (index t at iteration t)
@@ -68,8 +66,9 @@ def fr_run(
         raise DegenerateGraphError("a single vertex needs no layout")
     if params is None:
         params = FrParams()
-    total = params.iterations if params.iterations is not None else 20 * g.n
+    total = params.total_multiplier * g.n
     k = math.sqrt(1.0 / g.n)
+    t0 = INITIAL_TEMPERATURE
     adj = adjacency_matrix(g)
 
     def positions(pos):
@@ -82,10 +81,9 @@ def fr_run(
             np.fill_diagonal(coef, 0.0)
             disp = np.einsum("ij,cij->ci", coef, u)
             norm = np.sqrt(disp[0] * disp[0] + disp[1] * disp[1])
-            temp = fr_temperature(t, total, params.initial_temperature)
+            temp = fr_temperature(t, total, t0)
             scale = np.where(norm > temp, temp / np.where(norm == 0.0, 1.0, norm), 1.0)
             pos = np.clip(pos + disp * scale, 0.0, 1.0)
             yield pos
 
-    return iterate(g, "fr", params.seed, positions, graph_id=graph_id,
-                   capture_every=capture_every)
+    return iterate(g, "fr", params.seed, positions, capture_every=capture_every)

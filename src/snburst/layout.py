@@ -82,7 +82,6 @@ def normalize_layout(layout: Layout) -> Layout:
 class RunRecord:
     """One algorithm run: identity, timing, final layout and metrics."""
 
-    graph_id: str
     algorithm: str  # "snb" or "fr"
     seed: int
     n: int
@@ -91,6 +90,7 @@ class RunRecord:
     wall_time_total: float
     wall_time_per_iteration: float
     final_layout: Layout
+    graph_id: str = ""  # the graph's corpus label; `bench.run_one` sets it
     metrics: Optional["MetricsReport"] = None
     # Layout captured at the end of the sync phase (SnB only).
     sync_end_layout: Optional[Layout] = None
@@ -104,7 +104,6 @@ def iterate(
     seed: int,
     positions,
     *,
-    graph_id: str = "",
     capture_every: int = 0,
     sync_end: int = 0,
 ) -> RunRecord:
@@ -135,7 +134,6 @@ def iterate(
             trajectory.append((t, Layout(pos.T, t)))
     elapsed = time.perf_counter() - start
     return RunRecord(
-        graph_id=graph_id,
         algorithm=algorithm,
         seed=seed,
         n=g.n,

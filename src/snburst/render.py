@@ -45,6 +45,8 @@ def layout_to_svg(g: Graph, layout: Layout, *, labels: bool = False) -> str:
         out.append(f'<g font-size="{3 * r:.1f}" fill="#000">')
         for i in range(g.n):
             name = g.labels[i] if g.labels else str(i)
+            # Text content: escape XML's markup characters, "&" first.
+            name = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             out.append(
                 f'<text x="{xs[i] + r:.3f}" y="{ys[i] - r:.3f}">{name}</text>'
             )
@@ -53,14 +55,19 @@ def layout_to_svg(g: Graph, layout: Layout, *, labels: bool = False) -> str:
     return "\n".join(out) + "\n"
 
 
+def csv_text(header, rows) -> str:
+    """The one CSV dialect of every table: a header row, then `rows`, "\\n" line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def layout_to_csv(layout: Layout) -> str:
     """Coordinate CSV "vertex,x,y" on the normalized (unit-box) layout."""
     norm = normalize_layout(layout)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["vertex", "x", "y"])
-    writer.writerows([i, x, y] for i, (x, y) in enumerate(norm.coords))
-    return buf.getvalue()
+    return csv_text(["vertex", "x", "y"], ([i, x, y] for i, (x, y) in enumerate(norm.coords)))
 
 
 def read_layout_csv(text: str) -> Layout:
@@ -96,19 +103,12 @@ def read_layout_csv(text: str) -> Layout:
 
 def trajectory_to_csv(trajectory) -> str:
     """Sampled trajectory CSV "t,vertex,x,y"."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "vertex", "x", "y"])
-    writer.writerows(
-        [t, i, x, y] for t, layout in trajectory for i, (x, y) in enumerate(layout.coords)
+    return csv_text(
+        ["t", "vertex", "x", "y"],
+        ([t, i, x, y] for t, layout in trajectory for i, (x, y) in enumerate(layout.coords)),
     )
-    return buf.getvalue()
 
 
 def magnitude_curve_to_csv(rows) -> str:
     """Total-magnitude curve CSV "t,Ma,Mr,f"."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "Ma", "Mr", "f"])
-    writer.writerows(rows)
-    return buf.getvalue()
+    return csv_text(["t", "Ma", "Mr", "f"], rows)

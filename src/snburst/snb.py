@@ -187,7 +187,6 @@ def snb_run(
     g: Graph,
     params: SnbParams | None = None,
     *,
-    graph_id: str = "",
     capture_every: int = 0,
 ) -> RunRecord:
     """Full Sync-and-Burst run: total_multiplier*n steps from a seeded random layout.
@@ -215,7 +214,6 @@ def snb_run(
 
     return iterate(
         g, "snb", params.seed, positions,
-        graph_id=graph_id,
         capture_every=capture_every,
         sync_end=sync_phase_iterations(g, params),
     )

@@ -187,10 +187,25 @@ def fr_iteration(g, coords, temperature, side=1.0):
 _TINY = 1e-12
 
 
+def _on_segment(p, a, b):
+    """Point p lies on the segment a-b (a point if a == b), within _TINY."""
+    cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+    return abs(cross) <= _TINY and all(
+        min(a[k], b[k]) - _TINY <= p[k] <= max(a[k], b[k]) + _TINY for k in (0, 1)
+    )
+
+
 def _seg_intersect(p1, p2, p3, p4):
-    """Parametric segment intersection (endpoint touching included)."""
+    """Parametric segment intersection (endpoint touching included).
+
+    A zero-length edge is a point: it crosses a segment only by lying on it.
+    """
     rx, ry = p2[0] - p1[0], p2[1] - p1[1]
     sx, sy = p4[0] - p3[0], p4[1] - p3[1]
+    if rx == ry == 0:
+        return _on_segment(p1, p3, p4)
+    if sx == sy == 0:
+        return _on_segment(p3, p1, p2)
     qx, qy = p3[0] - p1[0], p3[1] - p1[1]
     denom = rx * sy - ry * sx
     if abs(denom) > _TINY:

@@ -12,10 +12,13 @@ from snburst import (
     MetricsReport,
     RunRecord,
     bucketize,
+    fr_run,
     run_corpus,
     run_one,
+    snb_run,
 )
 from snburst.bench import (
+    ALGORITHMS,
     BUCKET_FIELDS,
     RECORD_FIELDS,
     buckets_to_csv,
@@ -81,6 +84,12 @@ class TestRunOne:
         assert r.graph_id == "p4" and r.algorithm == "snb"
         assert r.metrics is not None
         assert r.iterations == 80
+
+    def test_labels_record(self):
+        g = Graph(4, ((0, 1), (1, 2), (2, 3)))
+        for alg in ALGORITHMS:
+            assert run_one(g, alg, seed=0, graph_id="p4").graph_id == "p4"
+        assert snb_run(g).graph_id == fr_run(g).graph_id == ""
 
     def test_unknown_algorithm(self):
         g = Graph(3, ((0, 1), (1, 2)))

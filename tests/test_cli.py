@@ -24,6 +24,10 @@ def write_graph(tmp_path, name="g.txt", text=PATH4):
     return p
 
 
+def svg_texts(svg):
+    return [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+
+
 def svg_counts(path):
     root = ET.parse(path).getroot()
     ns = "{http://www.w3.org/2000/svg}"
@@ -44,9 +48,10 @@ class TestRender:
         assert len(root.findall(f".//{ns}line")) == g.m
 
     def test_svg_labels(self):
-        g = Graph(2, ((0, 1),), labels=("alpha", "beta"))
-        svg = layout_to_svg(g, Layout(np.array([[0.0, 0.0], [1.0, 1.0]])), labels=True)
-        assert "alpha" in svg and "beta" in svg
+        # Labels are text content, so XML's special characters are escaped.
+        g = Graph(4, ((0, 1), (1, 2)), labels=("alpha", "a&b", "<c>", "d\"'e"))
+        layout = Layout(np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]))
+        assert svg_texts(layout_to_svg(g, layout, labels=True)) == list(g.labels)
 
     def test_layout_csv_roundtrip(self):
         # Already normalized, so the CSV holds these exact values.
@@ -95,6 +100,16 @@ class TestLayoutCommand:
         gpath = write_graph(tmp_path)
         assert main(["layout", str(gpath), "--alg", "fr", "--out-dir", str(tmp_path)]) == 0
         assert (tmp_path / "g_fr.svg").exists()
+
+    def test_labels_from_graphml_ids(self, tmp_path):
+        gpath = write_graph(tmp_path, "g.graphml", (
+            '<graphml><graph edgedefault="undirected">'
+            '<node id="a&amp;b"/><node id="&lt;c&gt;"/><node id="d"/>'
+            '<edge source="a&amp;b" target="&lt;c&gt;"/><edge source="&lt;c&gt;" target="d"/>'
+            '</graph></graphml>'
+        ))
+        assert main(["layout", str(gpath), "--labels", "--out-dir", str(tmp_path)]) == 0
+        assert svg_texts((tmp_path / "g_snb.svg").read_text()) == ["a&b", "<c>", "d"]
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["layout", str(tmp_path / "absent.txt")]) == EXIT_IO
@@ -239,9 +254,10 @@ class TestGenerateCommand:
         assert main(["generate", "scale-free", "10", "2", "-o", str(dest)]) == 0
         assert dest.read_text() == write_edge_list(gen_scale_free(10, 2, seed=0))
 
-    def test_bad_generator_params_is_io_error(self, tmp_path):
+    def test_bad_generator_params_is_usage_error(self, tmp_path):
         dest = tmp_path / "x.txt"
-        assert main(["generate", "queen", "0", "5", "-o", str(dest)]) == EXIT_IO
+        assert main(["generate", "queen", "0", "5", "-o", str(dest)]) == EXIT_USAGE
+        assert not dest.exists()
 
 
 class TestExitCodes:
@@ -262,6 +278,10 @@ class TestExitCodes:
         ["curve", "{graph}", "-o", "{out}", "--sync-param", "10"],
         # s is a Sync-and-Burst parameter; FR cannot use it.
         ["layout", "{graph}", "--out-dir", "{out}", "--alg", "fr", "--sync-param", "2"],
+        # Parameters the generator rejects.
+        ["generate", "queen", "0", "3", "-o", "{out}"],
+        ["generate", "scale-free", "3", "5", "-o", "{out}"],
+        ["generate", "scale-free", "10", "2", "--target-m", "2", "-o", "{out}"],
     ])
     def test_out_of_range_number_is_usage_error(self, tmp_path, args):
         corpus = tmp_path / "corpus"

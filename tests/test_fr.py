@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from conftest import random_connected_graph, random_graph
+from snburst import fr
 from snburst import (
     DegenerateGraphError,
     FrParams,
@@ -45,8 +46,9 @@ class TestRun:
         g = triangle()
         r = fr_run(g, FrParams(seed=0))
         assert r.iterations == 60  # 20 * n
-        r2 = fr_run(g, FrParams(seed=0, iterations=7))
-        assert r2.iterations == 7
+        for k in (1, 7):
+            r = fr_run(g, FrParams(seed=0, total_multiplier=k))
+            assert r.iterations == r.final_layout.iteration == k * g.n
 
     def test_stays_inside_area(self):
         rng = random.Random(1)
@@ -70,7 +72,7 @@ class TestRun:
         frames = [coords for _, coords in r.trajectory]
         prev = frames[0]
         total = r.iterations
-        t0 = 0.1 * 1.0
+        t0 = fr.INITIAL_TEMPERATURE
         for t, cur in zip(range(2, total + 1), frames[1:]):
             moved = np.sqrt(((cur.coords - prev.coords) ** 2).sum(axis=1))
             # Clipping to the area can only shrink a move, never extend it.
@@ -84,16 +86,19 @@ class TestRun:
             g = random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
             # FR on the unit area starts from the same splitmix64 stream as SnB.
             start = initial_layout(g, seed).coords.tolist()
-            got = fr_run(g, FrParams(seed=seed, iterations=1)).final_layout.coords
-            want = oracles.fr_iteration(g, start, fr_temperature(1, 1, 0.1))
-            assert np.allclose(got, want, rtol=0, atol=1e-12)
+            r = fr_run(g, FrParams(seed=seed, total_multiplier=1), capture_every=1)
+            t, first = r.trajectory[0]
+            want = oracles.fr_iteration(g, start, fr_temperature(1, n, 0.1))
+            assert t == 1
+            assert np.allclose(first.coords, want, rtol=0, atol=1e-12)
 
-    def test_coincident_vertices_separate(self):
+    def test_coincident_vertices_separate(self, monkeypatch):
         # A first step far above the area size clips vertices 2 and 3 of this
         # edgeless graph into one corner, so iteration 2 starts from a
         # coincident pair and must push it apart along a hashed direction.
+        monkeypatch.setattr(fr, "INITIAL_TEMPERATURE", 10.0)
         g = Graph(6, ())
-        params = FrParams(seed=0, iterations=2, initial_temperature=10.0)
+        params = FrParams(seed=0, total_multiplier=1)
         r = fr_run(g, params, capture_every=1)
         first = r.trajectory[0][1].coords
         assert np.array_equal(first[2], first[3])
@@ -104,10 +109,9 @@ class TestRun:
         assert np.array_equal(final, again)
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            FrParams(iterations=0)
-        with pytest.raises(ValueError):
-            FrParams(initial_temperature=0.0)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="total_multiplier"):
+                FrParams(total_multiplier=k)
 
     def test_degenerate_graph(self):
         with pytest.raises(DegenerateGraphError):
@@ -116,6 +120,7 @@ class TestRun:
     def test_record_fields(self):
         g = triangle()
         r = fr_run(g, FrParams(seed=0))
+        assert (r.graph_id, r.algorithm) == ("", "fr")
         assert r.wall_time_total > 0
         assert r.wall_time_per_iteration == pytest.approx(
             r.wall_time_total / r.iterations

@@ -62,6 +62,19 @@ class TestCrossings:
         layout = L((0, 0), (1, 0), (2, 0), (3, 0))
         assert count_crossings(g, layout) == 0
 
+    @pytest.mark.parametrize("point, crosses", [
+        ((0.5, 5.0), False), ((0.5, 0.0), True), ((1.0, 0.0), True), ((2.0, 0.0), False),
+    ], ids=["off-line", "inside", "endpoint", "collinear-outside"])
+    def test_zero_length_edge_is_a_point(self, point, crosses):
+        # One edge has coincident endpoints: it crosses the segment (0, 0)-(1, 0)
+        # only by lying on it, whichever of the two edges comes first.
+        g = Graph(4, ((0, 1), (2, 3)))
+        for coords in ([point, point, (0.0, 0.0), (1.0, 0.0)],
+                       [(0.0, 0.0), (1.0, 0.0), point, point]):
+            coords = np.array(coords)
+            assert count_crossings(g, Layout(coords)) == int(crosses)
+            assert oracles.crossing_pairs(g, coords) == ([(0, 1)] if crosses else [])
+
     def test_perpendicular_crossing_angle(self):
         g = Graph(4, ((0, 1), (2, 3)))
         layout = L((0, 0), (2, 0), (1, -1), (1, 1))
@@ -102,22 +115,22 @@ class TestCrossingBlocks:
         for _ in range(6):
             n = rng.randint(8, 16)
             g = random_graph(n, rng.randint(20, min(60, n * (n - 1) // 2)), rng)
-            yield g, random_layout_coords(n, rng), True
+            yield g, random_layout_coords(n, rng)
             # Distinct integer-lattice points: collinear and touching pairs.
             pts = rng.sample([(x, y) for x in range(4) for y in range(4)], n)
-            yield g, np.array(pts, dtype=float), True
+            yield g, np.array(pts, dtype=float)
             # Lattice points that may coincide: zero-length edges.
             pts = [(rng.randrange(3), rng.randrange(3)) for _ in range(n)]
-            yield g, np.array(pts, dtype=float), False
+            yield g, np.array(pts, dtype=float)
         for r, c in ((4, 4), (3, 5)):
             g = gen_queen(r, c)
             grid = np.array([(i % c, i // c) for i in range(g.n)], dtype=float)
-            yield g, grid, True
+            yield g, grid
 
     @pytest.mark.parametrize("rows", [1, 3, 7])
     def test_blocks_match_oracle_and_single_block(self, monkeypatch, rows):
         partial_last_block = False
-        for g, coords, distinct in self.cases():
+        for g, coords in self.cases():
             layout = Layout(coords)
             monkeypatch.setattr(metrics, "CROSSING_BLOCK_PAIRS", g.m * g.m)
             whole_pairs, whole_angles = find_crossings(g, layout)
@@ -126,8 +139,7 @@ class TestCrossingBlocks:
             assert np.array_equal(pairs, whole_pairs)
             assert np.array_equal(angles, whole_angles)
             assert pairs.dtype == whole_pairs.dtype and angles.dtype == whole_angles.dtype
-            if distinct:
-                assert list(map(tuple, pairs.tolist())) == oracles.crossing_pairs(g, coords)
+            assert list(map(tuple, pairs.tolist())) == oracles.crossing_pairs(g, coords)
             partial_last_block |= (g.m - 1) % rows != 0
         assert rows == 1 or partial_last_block
 
