@@ -84,8 +84,9 @@ def cmd_layout(graph_file, alg, seed, multiplier, sync_param, out_dir, labels):
     stem = Path(graph_file).stem
     svg_path = out / f"{stem}_{alg}.svg"
     csv_path = out / f"{stem}_{alg}.csv"
-    svg_path.write_text(layout_to_svg(g, record.final_layout, labels=labels))
-    csv_path.write_text(layout_to_csv(record.final_layout))
+    svg = layout_to_svg(g, record.final_layout, labels=labels)
+    svg_path.write_text(svg, encoding="utf-8")
+    csv_path.write_text(layout_to_csv(record.final_layout), encoding="utf-8")
     click.echo(f"wrote {svg_path} and {csv_path}")
 
 
@@ -111,7 +112,7 @@ def cmd_metrics(graph_file, layout_csv, fmt, output):
         row = report.scalar_row()
         text = csv_text(row.keys(), [row.values()])
     if output:
-        Path(output).write_text(text)
+        Path(output).write_text(text, encoding="utf-8")
         click.echo(f"wrote {output}")
     else:
         click.echo(text, nl=False)
@@ -139,8 +140,8 @@ def cmd_bench(corpus_dir, algorithms, seeds, multiplier, workers, out_dir):
     buckets = bench_mod.bucketize(records)
     out = _out_dir(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "records.csv").write_text(bench_mod.records_to_csv(records))
-    (out / "buckets.csv").write_text(bench_mod.buckets_to_csv(buckets))
+    (out / "records.csv").write_text(bench_mod.records_to_csv(records), encoding="utf-8")
+    (out / "buckets.csv").write_text(bench_mod.buckets_to_csv(buckets), encoding="utf-8")
     click.echo(f"wrote {out / 'records.csv'} ({len(records)} records) and "
                f"{out / 'buckets.csv'} ({len(buckets)} rows)")
 
@@ -160,7 +161,7 @@ def cmd_curve(graph_file, t_max, sync_param, output):
     rows = total_magnitude_curve(g, params, t_max)
     text = magnitude_curve_to_csv(rows)
     if output:
-        Path(output).write_text(text)
+        Path(output).write_text(text, encoding="utf-8")
         click.echo(f"wrote {output}")
     else:
         click.echo(text, nl=False)
@@ -199,7 +200,7 @@ def cmd_generate(name, params, seed, target_m, fmt, output):
     if output is None:
         suffix = ".txt" if fmt == "edgelist" else ".graphml"
         output = f"{name}{'_' + '_'.join(map(str, params)) if params else ''}{suffix}"
-    Path(output).write_text(text)
+    Path(output).write_text(text, encoding="utf-8")
     click.echo(f"wrote {output} (n={g.n}, m={g.m})")
 
 

@@ -20,8 +20,8 @@ import numpy as np
 from .graphs import Graph
 from .layout import (
     DegenerateGraphError,
+    PairWorkspace,
     RunRecord,
-    adjacency_matrix,
     iterate,
     pair_directions,
 )
@@ -69,16 +69,29 @@ def fr_run(
     total = params.total_multiplier * g.n
     k = math.sqrt(1.0 / g.n)
     t0 = INITIAL_TEMPERATURE
-    adj = adjacency_matrix(g)
+    # Flat indices of (u, v) and (v, u) for every edge, into an n x n array.
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    edge_pairs = np.concatenate((ends[0] * g.n + ends[1], ends[1] * g.n + ends[0]))
+    attraction = np.empty(len(edge_pairs))
+    repulsion = np.empty(len(edge_pairs))
 
     def positions(pos):
+        ws = PairWorkspace(g.n)
+        coef = ws.scratch
         for t in range(1, total + 1):
-            # u, d and coef stay bound across the yield (see `iterate`).
-            u, d = pair_directions(pos, t, params.seed)
-            d[d == 0.0] = _COINCIDENT_DIST
-            # Per pair: attraction d^2/k toward (adjacent only), repulsion k^2/d away.
-            coef = adj * (d * d / k) - (k * k) / d
-            np.fill_diagonal(coef, 0.0)
+            u, d = pair_directions(pos, t, params.seed, ws)
+            if ws.coincident:
+                d[d == 0.0] = _COINCIDENT_DIST
+            # Per pair: repulsion k^2/d away, plus attraction d^2/k toward a
+            # neighbour, added on the edges only (0*x - y == -y elsewhere).
+            np.divide(-(k * k), d, out=coef)
+            np.take(d, edge_pairs, out=attraction)
+            np.multiply(attraction, attraction, out=attraction)
+            np.divide(attraction, k, out=attraction)
+            np.take(coef, edge_pairs, out=repulsion)
+            np.add(attraction, repulsion, out=attraction)
+            np.put(coef, edge_pairs, attraction)
+            ws.scratch_diagonal[...] = 0.0
             disp = np.einsum("ij,cij->ci", coef, u)
             norm = np.sqrt(disp[0] * disp[0] + disp[1] * disp[1])
             temp = fr_temperature(t, total, t0)

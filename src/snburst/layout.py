@@ -115,18 +115,13 @@ def iterate(
     iteration count.  Every iterate must be finite (else `NumericError`).
     The layout after iteration `sync_end` (0: none) and every
     `capture_every`-th one (0: none) are kept.  Only the loop is timed.
-
-    Lifetime rule: the generator keeps its n x n arrays bound across the
-    yield.  Freed on every iteration, they hand their pages back to the OS
-    (glibc trims the heap) and fault them in again on the next: that more
-    than doubled SnB's time per iteration on a scale-free graph, n = 200.
     """
     pos = np.ascontiguousarray(initial_layout(g, seed).coords.T)
     sync_end_layout = None
     trajectory = []
     start = time.perf_counter()
     for t, pos in enumerate(positions(pos), start=1):
-        if not np.all(np.isfinite(pos)):
+        if not np.isfinite(pos).all():
             raise NumericError(f"non-finite coordinates at {algorithm} iteration {t}")
         if t == sync_end:
             sync_end_layout = Layout(pos.T, t)
@@ -156,27 +151,61 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def pair_directions(pos: np.ndarray, iteration: int, seed: int):
+class PairWorkspace:
+    """The arrays `pair_directions` writes into, allocated once per run.
+
+    For n vertices it holds 4 n^2 float64 values (32 n^2 bytes): `u`, the
+    (2, n, n) coordinate differences that are divided in place into unit
+    directions; `d`, the (n, n) distances; and `scratch`, an (n, n) array
+    the kernel uses during a call and leaves to the caller between calls
+    (FR builds its force coefficients there).  `d_diagonal` and
+    `scratch_diagonal` are writable views of those diagonals.  `coincident`
+    tells whether the last call took the coincident-pair path.
+    """
+
+    def __init__(self, n: int):
+        self.u = np.empty((2, n, n))
+        self.d = np.empty((n, n))
+        self.scratch = np.empty((n, n))
+        self.d_diagonal = self.d.reshape(-1)[:: n + 1]
+        self.scratch_diagonal = self.scratch.reshape(-1)[:: n + 1]
+        self.coincident = False
+
+
+def pair_directions(
+    pos: np.ndarray, iteration: int, seed: int, ws: PairWorkspace | None = None
+):
     """Unit directions and distances between all vertex pairs.
 
     `pos` is a C-contiguous (2, n) array of x and y rows.  Returns `(u, d)`:
     `u` is (2, n, n) and `u[:, i, j]` the unit direction from vertex i to
     vertex j, zero on the diagonal; `d` is the (n, n) distance matrix with
-    a diagonal of 1.
+    a diagonal of 1.  Both are `ws.u` and `ws.d`, overwritten by the next
+    call on `ws`; without `ws` the call makes a fresh workspace.
     A coincident pair keeps d == 0 and gets the deterministic direction
     hash_angle(seed, iteration, i, j) for i < j, negated for (j, i), so the
     two contributions stay exactly opposite.  sqrt of the exact sum of
     squares (not hypot) keeps u bitwise invariant under exact power-of-two
     rescaling of the input.
     """
-    delta = pos[:, None, :] - pos[:, :, None]
-    dx, dy = delta
-    d = np.sqrt(dx * dx + dy * dy)
-    np.fill_diagonal(d, 1.0)
-    if d.min() > 0.0:
-        return delta / d, d
+    if ws is None:
+        ws = PairWorkspace(pos.shape[1])
+    u, d, scratch = ws.u, ws.d, ws.scratch
+    np.subtract(pos[:, None, :], pos[:, :, None], out=u)
+    dx, dy = u
+    np.multiply(dx, dx, out=scratch)
+    np.multiply(dy, dy, out=d)
+    np.add(scratch, d, out=d)
+    np.sqrt(d, out=d)
+    ws.d_diagonal[...] = 1.0
+    ws.coincident = not d.min() > 0.0
+    if not ws.coincident:
+        np.divide(u, d, out=u)
+        return u, d
     coincident = d == 0.0
-    u = delta / np.where(coincident, 1.0, d)
+    np.copyto(scratch, d)
+    scratch[coincident] = 1.0
+    np.divide(u, scratch, out=u)
     for i, j in zip(*np.nonzero(np.triu(coincident))):
         theta = hash_angle(seed, iteration, int(i), int(j))
         u[:, i, j] = math.cos(theta), math.sin(theta)

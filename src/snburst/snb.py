@@ -27,6 +27,7 @@ from .graphs import Graph, betweenness
 from .layout import (
     DegenerateGraphError,
     Layout,
+    PairWorkspace,
     RunRecord,
     adjacency_matrix,
     iterate,
@@ -164,8 +165,8 @@ def _step(u, adj, ratio):
     # Force sum per vertex: ratio on adjacent pairs minus 1 on all pairs.
     # u has a zero diagonal, so the i = j terms drop out by themselves.
     f = ratio * np.einsum("ij,cij->ci", adj, u) - u.sum(axis=2)
-    f -= f.mean(axis=1, keepdims=True)
-    extent = np.ptp(f, axis=1).max()
+    f -= f.sum(axis=1, keepdims=True) / f.shape[1]
+    extent = (f.max(axis=1) - f.min(axis=1)).max()
     if extent > 0.0:
         f /= extent
     return f
@@ -203,11 +204,11 @@ def snb_run(
     adj = adjacency_matrix(g)
 
     def positions(pos):
+        ws = PairWorkspace(g.n)
         log_mag_prev = -log_m  # M(0) = 1/m
         for t in range(1, params.total_multiplier * g.n + 1):
             ratio = math.exp(log_m + (ATTRACTION_EXPONENT - 1.0) * log_mag_prev)
-            # u and d stay bound across the yield (see `iterate`).
-            u, d = pair_directions(pos, t - 1, params.seed)
+            u, _ = pair_directions(pos, t - 1, params.seed, ws)
             pos = _step(u, adj, ratio)
             yield pos
             log_mag_prev = log_magnitude(t, g, params)

@@ -1,9 +1,11 @@
 """Independent brute-force oracles for cross-checking the package.
 
-Everything here deliberately avoids the implementation routes used by the
-package: betweenness by full shortest-path enumeration, crossings by
-parametric line intersection, nearest-neighbor distances via a KD-tree,
-angles via atan2 differences.
+Everything here but the last section deliberately avoids the implementation
+routes used by the package: betweenness by full shortest-path enumeration,
+crossings by parametric line intersection, nearest-neighbor distances via a
+KD-tree, angles via atan2 differences.  The last section instead freezes the
+package's own dense iterations, one fresh array per operation, as bitwise
+references for its in-place fast paths.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ from collections import Counter, deque
 from itertools import combinations
 from math import comb
 
+import numpy as np
 from scipy.spatial import cKDTree
+
+from snburst.rng import hash_angle
 
 
 # ---------------------------------------------------------------------------
@@ -306,3 +311,59 @@ def vertex_distribution(coords):
         radii.append(min(ds / 2.0, d_border))
     area = w * h
     return math.pi * sum(r * r for r in radii) / area, radii, w, h
+
+
+# ---------------------------------------------------------------------------
+# Frozen dense iterations: bitwise references for the in-place kernel.  Each
+# takes and returns C-contiguous (2, n) positions and allocates every n x n
+# intermediate afresh, as the package did before its per-run workspace.
+
+
+def dense_adjacency(g):
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        a[u, v] = 1.0
+        a[v, u] = 1.0
+    return a
+
+
+def dense_pair_directions(pos, iteration, seed):
+    """Unit directions (2, n, n) and distances (n, n, diagonal 1); a
+    coincident pair (i < j) gets hash_angle(seed, iteration, i, j)."""
+    delta = pos[:, None, :] - pos[:, :, None]
+    dx, dy = delta
+    d = np.sqrt(dx * dx + dy * dy)
+    np.fill_diagonal(d, 1.0)
+    coincident = d == 0.0
+    u = delta / np.where(coincident, 1.0, d)
+    for i, j in zip(*np.nonzero(np.triu(coincident))):
+        theta = hash_angle(seed, iteration, int(i), int(j))
+        u[:, i, j] = math.cos(theta), math.sin(theta)
+        u[:, j, i] = -u[:, i, j]
+    return u, d
+
+
+def dense_fr_iteration(adj, pos, t, total, seed, t0=0.1):
+    """FR iteration t of `total` on the unit square (hash index t)."""
+    k = math.sqrt(1.0 / pos.shape[1])
+    u, d = dense_pair_directions(pos, t, seed)
+    d[d == 0.0] = 1e-9
+    coef = adj * (d * d / k) - (k * k) / d
+    np.fill_diagonal(coef, 0.0)
+    disp = np.einsum("ij,cij->ci", coef, u)
+    norm = np.sqrt(disp[0] * disp[0] + disp[1] * disp[1])
+    temp = t0 * (total - t + 1) / total
+    scale = np.where(norm > temp, temp / np.where(norm == 0.0, 1.0, norm), 1.0)
+    return np.clip(pos + disp * scale, 0.0, 1.0)
+
+
+def dense_snb_step(adj, pos, iteration, seed, ratio):
+    """SnB step from `pos` (hash index `iteration`) with attraction:repulsion
+    ratio `ratio`, renormalized to zero centroid and unit max-extent."""
+    u, _ = dense_pair_directions(pos, iteration, seed)
+    f = ratio * np.einsum("ij,cij->ci", adj, u) - u.sum(axis=2)
+    f -= f.mean(axis=1, keepdims=True)
+    extent = np.ptp(f, axis=1).max()
+    if extent > 0.0:
+        f /= extent
+    return f

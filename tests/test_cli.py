@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import snburst
 from snburst import Graph, Layout, gen_scale_free, gen_wagner, parse_edge_list, write_edge_list
 from snburst.cli import EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, main
 from snburst.render import (
@@ -110,6 +115,27 @@ class TestLayoutCommand:
         ))
         assert main(["layout", str(gpath), "--labels", "--out-dir", str(tmp_path)]) == 0
         assert svg_texts((tmp_path / "g_snb.svg").read_text()) == ["a&b", "<c>", "d"]
+
+    def test_writes_utf8_under_an_ascii_locale(self, tmp_path):
+        # With the C locale and UTF-8 mode off, the locale's encoding is
+        # ASCII; the SVG declares UTF-8 and must be written as UTF-8.
+        gpath = tmp_path / "u.graphml"
+        gpath.write_text(
+            '<graphml><graph edgedefault="undirected">'
+            '<node id="caf\u00e9"/><node id="b"/><edge source="caf\u00e9" target="b"/>'
+            "</graph></graphml>",
+            encoding="utf-8",
+        )
+        env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C",
+                   PYTHONPATH=str(Path(snburst.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "snburst.cli", "layout", str(gpath), "--labels",
+             "--out-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        svg = (tmp_path / "u_snb.svg").read_text(encoding="utf-8")
+        assert svg_texts(svg) == ["caf\u00e9", "b"]
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["layout", str(tmp_path / "absent.txt")]) == EXIT_IO

@@ -1,0 +1,133 @@
+"""The in-place pairwise kernel and the runs built on it: every frame of
+`fr_run` and `snb_run` is bitwise equal to the frozen dense iterations in
+`oracles`, a reused workspace gives what a fresh one gives, and a run
+allocates no n x n array beyond its workspace."""
+
+import math
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import oracles
+from conftest import random_graph
+from snburst import FrParams, Layout, SnbParams, fr_run, gen_scale_free, snb_run
+from snburst import layout as layout_mod
+from snburst.layout import PairWorkspace, initial_layout, pair_directions
+from snburst.snb import ATTRACTION_EXPONENT, log_magnitude
+
+
+def lattice_coords(n):
+    """Vertex i on point i mod 9 of the 3 x 3 lattice {0, 1/2, 1}^2, so
+    every n > 9 starts with coincident vertices."""
+    return np.array([[(i % 3) / 2, (i % 9 // 3) / 2] for i in range(n)])
+
+
+def frames(record, start):
+    """The run's (2, n) positions from the start through every iteration."""
+    coords = [start.coords] + [lay.coords for _, lay in record.trajectory]
+    return [np.ascontiguousarray(c.T) for c in coords]
+
+
+def check_fr_frames(g, params, start):
+    r = fr_run(g, params, capture_every=1)
+    pos = frames(r, start)
+    assert len(pos) == r.iterations + 1
+    adj = oracles.dense_adjacency(g)
+    for t in range(1, len(pos)):
+        want = oracles.dense_fr_iteration(adj, pos[t - 1], t, r.iterations, params.seed)
+        assert np.array_equal(pos[t], want), f"FR frame {t}"
+
+
+def check_snb_frames(g, params, start):
+    r = snb_run(g, params, capture_every=1)
+    pos = frames(r, start)
+    assert len(pos) == r.iterations + 1
+    adj = oracles.dense_adjacency(g)
+    log_m = math.log(g.m)
+    for t in range(1, len(pos)):
+        log_mag_prev = -log_m if t == 1 else log_magnitude(t - 1, g, params)
+        ratio = math.exp(log_m + (ATTRACTION_EXPONENT - 1.0) * log_mag_prev)
+        want = oracles.dense_snb_step(adj, pos[t - 1], t - 1, params.seed, ratio)
+        assert np.array_equal(pos[t], want), f"SnB frame {t}"
+
+
+class TestFramesMatchDenseOracle:
+    def test_fr_random_graphs(self):
+        rng = random.Random(31)
+        for seed in range(12):
+            n = rng.randint(2, 16)
+            m = 0 if seed < 3 else rng.randint(1, n * (n - 1) // 2)
+            g = random_graph(n, m, rng)
+            params = FrParams(seed=seed, total_multiplier=3)
+            check_fr_frames(g, params, initial_layout(g, seed))
+
+    def test_snb_random_graphs(self):
+        rng = random.Random(32)
+        for seed in range(12):
+            n = rng.randint(2, 16)
+            g = random_graph(n, rng.randint(1, n * (n - 1) // 2), rng)
+            params = SnbParams(sync_param=rng.uniform(0.5, 2.0), seed=seed, total_multiplier=5)
+            check_snb_frames(g, params, initial_layout(g, seed))
+
+    @pytest.mark.parametrize("n", [10, 14, 20])
+    def test_coincident_lattice_starts(self, monkeypatch, n):
+        start = Layout(lattice_coords(n))
+        monkeypatch.setattr(layout_mod, "initial_layout", lambda g, seed: start)
+        rng = random.Random(n)
+        for seed in range(3):
+            g = random_graph(n, rng.randint(1, 2 * n), rng)
+            check_fr_frames(g, FrParams(seed=seed, total_multiplier=2), start)
+            check_snb_frames(g, SnbParams(sync_param=1.0, seed=seed, total_multiplier=3), start)
+
+
+class TestWorkspaceReuse:
+    def test_reuse_matches_fresh_calls(self):
+        n = 12
+        coincident = np.ascontiguousarray(lattice_coords(n).T)
+        distinct = np.random.default_rng(0).random((2, n))
+        ws = PairWorkspace(n)
+
+        def check(pos, iteration, want_coincident):
+            u, d = pair_directions(pos, iteration, 5, ws)
+            assert np.shares_memory(u, ws.u) and np.shares_memory(d, ws.d)
+            assert ws.coincident is want_coincident
+            fresh_u, fresh_d = pair_directions(pos, iteration, 5)
+            assert np.array_equal(u, fresh_u)
+            assert np.array_equal(d, fresh_d)
+            return d
+
+        check(coincident, 3, True)
+        check(distinct, 4, False)
+        d = check(coincident, 5, True)
+        # What FR does between calls: clamp d in place, fill the scratch.
+        d[d == 0.0] = 1e-9
+        ws.scratch.fill(np.nan)
+        check(distinct, 6, False)
+        check(coincident, 7, True)
+
+
+@pytest.mark.parametrize("algorithm, ceiling", [
+    # The workspace holds 4 n^2 doubles and SnB keeps a dense adjacency
+    # matrix; everything else a run allocates must stay under one more n x n
+    # array.  With an n x n temporary per iteration FR peaked at 10.1 and SnB
+    # at 9.1.
+    ("fr", 5.0),
+    ("snb", 6.0),
+])
+def test_allocation_ceiling(algorithm, ceiling):
+    g = gen_scale_free(200, 2, seed=0)
+    if algorithm == "fr":
+        def run():
+            fr_run(g, FrParams(total_multiplier=1))
+    else:
+        def run():
+            snb_run(g, SnbParams(sync_param=0.25, total_multiplier=1))
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * g.n * g.n) < ceiling
