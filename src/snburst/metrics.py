@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain
 
 import numpy as np
 
@@ -23,9 +23,10 @@ CROSSING_EPS = 1e-12
 
 # Edge pairs tested per block in find_crossings: a block is
 # max(1, CROSSING_BLOCK_PAIRS // m) edges against all later edges.  Each
-# tested pair holds about 140 bytes of temporaries, so a block stays under
-# 5 MB; blocks of 2^17 pairs ran no faster and raised the peak RSS of a
-# pipeline run on a 400-edge graph by 7 MB.
+# tested pair holds about 60 bytes of temporaries (about 120 where every
+# orientation sign is zero, as on a collinear layout), so a block stays
+# under 4 MB; blocks of 2^17 pairs ran no faster and raised the peak RSS
+# of a pipeline run on a 400-edge graph by 7 MB.
 CROSSING_BLOCK_PAIRS = 1 << 15
 
 # Clamp for a zero-area (collinear) bounding box in vertex_distribution.
@@ -47,15 +48,16 @@ class MetricsReport:
     """One layout's aesthetic scorecard.
 
     `avg_adjacent_angle` is None for graphs without any pair of edges
-    sharing a vertex (perfect matchings).  `per_vertex_radii[i]` is
-    r_i = min(d*_i / 2, d**_i) with its companions in the two distance
-    tuples; vertex_distribution is pi * sum(r_i^2) / drawing_area.
+    sharing a vertex (perfect matchings), `edge_length_stdev` None for
+    graphs without edges.  `per_vertex_radii[i]` is r_i =
+    min(d*_i / 2, d**_i) with its companions in the two distance tuples;
+    vertex_distribution is pi * sum(r_i^2) / drawing_area.
     """
 
     crossings: int
     avg_crossing_angle: float
     avg_adjacent_angle: float | None
-    edge_length_stdev: float
+    edge_length_stdev: float | None
     min_pair_distance_scaled: float
     vertex_distribution: float
     drawing_area: float
@@ -89,76 +91,79 @@ def find_crossings(g: Graph, layout: Layout):
     sharing a vertex are never counted.  Proper intersections,
     endpoint-on-segment touches and collinear overlaps all count.
 
-    The m(m-1)/2 edge pairs are tested in row blocks of edges against all
-    later edges, about CROSSING_BLOCK_PAIRS pairs per block, so the working
-    memory is bounded per block and only the output grows with the number
-    of crossings: a random layout of queen 16x16 (m = 6320, 4.56 M
-    crossings) peaks near 0.27 GB, most of it the output.
+    Each edge's endpoints, direction b - a and length are computed once.
+    The m(m-1)/2 edge pairs are then tested in row blocks of edges against
+    all later edges, about CROSSING_BLOCK_PAIRS pairs per block: a block
+    broadcasts the four orientation values, one per endpoint against the
+    other edge's line, and keeps only their signs.  Opposite signs on both
+    edges make a proper crossing.  The CROSSING_EPS bounding-box tests for
+    touches and collinear overlaps run only on the pairs with a zero sign,
+    which include every pair sharing a vertex (the shared endpoint's
+    orientation is exactly 0), so the vertex test runs there too.  Working memory is bounded per block and only the output
+    grows with the number of crossings: a random layout of queen 16x16
+    (m = 6320, 4.56 M crossings) peaks near 0.25 GB, most of it the output.
     """
     m = g.m
-    e = np.asarray(g.edges)
+    e = np.asarray(g.edges, dtype=np.intp).reshape(m, 2)
+    c = layout.coords
+    ax, ay = c[e[:, 0], 0], c[e[:, 0], 1]
+    bx, by = c[e[:, 1], 0], c[e[:, 1], 1]
+    dx, dy = bx - ax, by - ay
+    length = np.sqrt(dx * dx + dy * dy)
+    lox, hix = np.minimum(ax, bx) - CROSSING_EPS, np.maximum(ax, bx) + CROSSING_EPS
+    loy, hiy = np.minimum(ay, by) - CROSSING_EPS, np.maximum(ay, by) + CROSSING_EPS
+
+    def in_bbox(x, y, k):
+        """Points (x, y) within the eps-widened bounding boxes of edges k."""
+        return (x >= lox[k]) & (x <= hix[k]) & (y >= loy[k]) & (y <= hiy[k])
+
     rows = max(1, CROSSING_BLOCK_PAIRS // max(m, 1))
     pairs, angles = [np.empty((0, 2), dtype=int)], [np.empty(0)]
     for a in range(0, m - 1, rows):
         b = min(a + rows, m - 1)
-        head, tail = e[a:b, :, None], e[a:].T
-        share = (
-            (head[:, 0] == tail[0])
-            | (head[:, 0] == tail[1])
-            | (head[:, 1] == tail[0])
-            | (head[:, 1] == tail[1])
-        )
+        # Block edges i in rows, edges j >= a in columns.
+        axi, ayi, bxi, byi, dxi, dyi = (v[a:b, None] for v in (ax, ay, bx, by, dx, dy))
+        axj, ayj, bxj, byj, dxj, dyj = (v[a:] for v in (ax, ay, bx, by, dx, dy))
+        # Orientation of point p against edge (a, b), in the operand order
+        # (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x).  That of
+        # a_j against edge i is the negation of the value computed here from
+        # a_i - a_j (exactly so in floating point), hence its swapped signs.
+        ddx, ddy = axi - axj, ayi - ayj
+        p1, n1 = _signs(dxj * ddy - dyj * ddx)  # a_i against edge j
+        n3, p3 = _signs(dxi * ddy - dyi * ddx)  # a_j against edge i
+        del ddx, ddy
+        p2, n2 = _signs(dxj * (byi - ayj) - dyj * (bxi - axj))  # b_i against edge j
+        p4, n4 = _signs(dxi * (byj - ayi) - dyi * (bxj - axi))  # b_j against edge i
         later = np.arange(m - a) > np.arange(b - a)[:, None]
-        ii, jj = np.nonzero(later & ~share)
+        crossing = ((p1 & n2) | (n1 & p2)) & ((p3 & n4) | (n3 & p4)) & later
+        s1, s2, s3, s4 = p1 | n1, p2 | n2, p3 | n3, p4 | n4
+        # A zero sign: a touch, a collinear pair or a shared vertex.
+        k = np.flatnonzero(later & ~(s1 & s2 & s3 & s4))
+        ki, kj = np.divmod(k, m - a)
+        ki += a
+        kj += a
+        ui, vi, uj, vj = e[ki, 0], e[ki, 1], e[kj, 0], e[kj, 1]
+        touching = ((ui != uj) & (ui != vj) & (vi != uj) & (vi != vj)) & (
+            (~s1.take(k) & in_bbox(ax[ki], ay[ki], kj))
+            | (~s2.take(k) & in_bbox(bx[ki], by[ki], kj))
+            | (~s3.take(k) & in_bbox(ax[kj], ay[kj], ki))
+            | (~s4.take(k) & in_bbox(bx[kj], by[kj], ki))
+        )
+        np.put(crossing, k[touching], True)
+        ii, jj = np.nonzero(crossing)
         ii += a
         jj += a
-        block_pairs, block_angles = _crossing_pairs_among(e, layout.coords, ii, jj)
-        pairs.append(block_pairs)
-        angles.append(block_angles)
+        dot = np.abs(dx[ii] * dx[jj] + dy[ii] * dy[jj])
+        norms = length[ii] * length[jj]
+        denom = np.where(norms == 0.0, 1.0, norms)
+        angles.append(np.degrees(np.arccos(np.clip(dot / denom, -1.0, 1.0))))
+        pairs.append(np.column_stack([ii, jj]))
     return np.concatenate(pairs), np.concatenate(angles)
 
 
-def _crossing_pairs_among(e: np.ndarray, c: np.ndarray, ii: np.ndarray, jj: np.ndarray):
-    """The crossing pairs among the candidate edge pairs (ii[k], jj[k]),
-    which share no vertex, and their acute angles in degrees."""
-    p1, p2 = c[e[ii, 0]], c[e[ii, 1]]
-    p3, p4 = c[e[jj, 0]], c[e[jj, 1]]
-
-    def cross2(a, b, pt):
-        return (b[:, 0] - a[:, 0]) * (pt[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-            pt[:, 0] - a[:, 0]
-        )
-
-    def sign(v):
-        return np.where(v > CROSSING_EPS, 1, np.where(v < -CROSSING_EPS, -1, 0))
-
-    s1 = sign(cross2(p3, p4, p1))
-    s2 = sign(cross2(p3, p4, p2))
-    s3 = sign(cross2(p1, p2, p3))
-    s4 = sign(cross2(p1, p2, p4))
-    proper = (s1 * s2 < 0) & (s3 * s4 < 0)
-
-    def in_bbox(a, b, pt):
-        lo = np.minimum(a, b) - CROSSING_EPS
-        hi = np.maximum(a, b) + CROSSING_EPS
-        return np.all((pt >= lo) & (pt <= hi), axis=1)
-
-    touching = (
-        ((s1 == 0) & in_bbox(p3, p4, p1))
-        | ((s2 == 0) & in_bbox(p3, p4, p2))
-        | ((s3 == 0) & in_bbox(p1, p2, p3))
-        | ((s4 == 0) & in_bbox(p1, p2, p4))
-    )
-    crossing = proper | touching
-    ii, jj = ii[crossing], jj[crossing]
-    u = c[e[ii, 1]] - c[e[ii, 0]]
-    v = c[e[jj, 1]] - c[e[jj, 0]]
-    dot = np.abs(u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1])
-    nu = np.sqrt((u * u).sum(axis=1))
-    nv = np.sqrt((v * v).sum(axis=1))
-    denom = np.where(nu * nv == 0.0, 1.0, nu * nv)
-    angles = np.degrees(np.arccos(np.clip(dot / denom, -1.0, 1.0)))
-    return np.column_stack([ii, jj]), angles
+def _signs(v: np.ndarray):
+    """Masks of the values above CROSSING_EPS and below -CROSSING_EPS."""
+    return v > CROSSING_EPS, v < -CROSSING_EPS
 
 
 def count_crossings(g: Graph, layout: Layout) -> int:
@@ -182,15 +187,12 @@ def avg_crossing_angle(g: Graph, layout: Layout) -> float:
 def avg_adjacent_angle(g: Graph, layout: Layout) -> float | None:
     """Mean angle (degrees, in [0, 180]) at the shared vertex over all
     unordered pairs of adjacent edges; None if no two edges share a vertex."""
-    vab = np.fromiter(
-        ((v, a, b) for v in range(g.n) for a, b in combinations(g.adjacency[v], 2)),
-        dtype=(np.intp, 3),
-    )
-    if len(vab) == 0:
+    v, a, b = _adjacent_triples(g)
+    if len(v) == 0:
         return None
     c = layout.coords
-    u1 = c[vab[:, 1]] - c[vab[:, 0]]
-    u2 = c[vab[:, 2]] - c[vab[:, 0]]
+    u1 = c[a] - c[v]
+    u2 = c[b] - c[v]
     norms = np.hypot(u1[:, 0], u1[:, 1]) * np.hypot(u2[:, 0], u2[:, 1])
     # A zero-length edge in the drawing leaves the angle undefined: score
     # it 0 (fully folded), and still count the pair.
@@ -198,6 +200,29 @@ def avg_adjacent_angle(g: Graph, layout: Layout) -> float | None:
     cosang = (u1[:, 0] * u2[:, 0] + u1[:, 1] * u2[:, 1]) / np.where(folded, 1.0, norms)
     angles = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
     return float(np.where(folded, 0.0, angles).mean())
+
+
+def _adjacent_triples(g: Graph):
+    """Arrays (v, a, b): for each vertex v in order, every pair of its
+    neighbours a before b in adjacency order, as itertools.combinations
+    lists them."""
+    deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=g.n)
+    nbr = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=2 * g.m)
+    first = np.cumsum(deg) - deg
+    # One row per (v, p): neighbour p of v, against the q > p after it.
+    row_count = np.maximum(deg - 1, 0)
+    row_v = np.repeat(np.arange(g.n), row_count)
+    row_p = _segment_arange(row_count)
+    row_len = deg[row_v] - 1 - row_p
+    v = np.repeat(row_v, row_len)
+    p = np.repeat(row_p, row_len)
+    q = p + 1 + _segment_arange(row_len)
+    return v, nbr[first[v] + p], nbr[first[v] + q]
+
+
+def _segment_arange(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., lengths[k] - 1 for each k in turn, concatenated."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +312,17 @@ def compute_metrics(g: Graph, layout: Layout) -> MetricsReport:
     """Full aesthetic scorecard on the normalized layout."""
     norm = normalize_layout(layout)
     pairs, angles = find_crossings(g, norm)
+    crossings = len(pairs)
+    crossing_angle = float(angles.mean()) if len(angles) else 90.0
+    # The crossing arrays are the largest of the report: free them before
+    # the distance matrix and the adjacent-angle triples are built.
+    del pairs, angles
     vd = vertex_distribution(norm)
     return MetricsReport(
-        crossings=len(pairs),
-        avg_crossing_angle=float(angles.mean()) if len(angles) else 90.0,
+        crossings=crossings,
+        avg_crossing_angle=crossing_angle,
         avg_adjacent_angle=avg_adjacent_angle(g, norm),
-        edge_length_stdev=edge_length_stdev(g, norm),
+        edge_length_stdev=edge_length_stdev(g, norm) if g.m else None,
         min_pair_distance_scaled=g.n * min(vd.nearest_vertex_distances),
         vertex_distribution=vd.distribution,
         drawing_area=vd.area,

@@ -3,9 +3,10 @@
 Everything here but the last section deliberately avoids the implementation
 routes used by the package: betweenness by full shortest-path enumeration,
 crossings by parametric line intersection, nearest-neighbor distances via a
-KD-tree, angles via atan2 differences.  The last section instead freezes the
-package's own dense iterations, one fresh array per operation, as bitwise
-references for its in-place fast paths.
+KD-tree, angles via atan2 differences.  The last two sections instead freeze
+earlier versions of the package's own code as bitwise references for its
+fast paths: the dense iterations, one fresh array per operation, and the
+crossing pass that gathers the endpoints of every candidate pair.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from math import comb
 import numpy as np
 from scipy.spatial import cKDTree
 
+from snburst.metrics import CROSSING_EPS
 from snburst.rng import hash_angle
 
 
@@ -367,3 +369,79 @@ def dense_snb_step(adj, pos, iteration, seed, ratio):
     if extent > 0.0:
         f /= extent
     return f
+
+
+# ---------------------------------------------------------------------------
+# Frozen gathered crossing pass: a bitwise reference for find_crossings.
+# Each row block gathers the endpoints of its candidate pairs (no shared
+# vertex, j > i) and runs the full predicate on every one of them.
+
+GATHERED_BLOCK_PAIRS = 1 << 15
+
+
+def gathered_find_crossings(g, layout):
+    """(pairs, angles) as find_crossings returns them."""
+    m = g.m
+    e = np.asarray(g.edges)
+    rows = max(1, GATHERED_BLOCK_PAIRS // max(m, 1))
+    pairs, angles = [np.empty((0, 2), dtype=int)], [np.empty(0)]
+    for a in range(0, m - 1, rows):
+        b = min(a + rows, m - 1)
+        head, tail = e[a:b, :, None], e[a:].T
+        share = (
+            (head[:, 0] == tail[0])
+            | (head[:, 0] == tail[1])
+            | (head[:, 1] == tail[0])
+            | (head[:, 1] == tail[1])
+        )
+        later = np.arange(m - a) > np.arange(b - a)[:, None]
+        ii, jj = np.nonzero(later & ~share)
+        ii += a
+        jj += a
+        block_pairs, block_angles = _gathered_crossing_pairs_among(e, layout.coords, ii, jj)
+        pairs.append(block_pairs)
+        angles.append(block_angles)
+    return np.concatenate(pairs), np.concatenate(angles)
+
+
+def _gathered_crossing_pairs_among(e, c, ii, jj):
+    """The crossing pairs among the candidate edge pairs (ii[k], jj[k]),
+    which share no vertex, and their acute angles in degrees."""
+    p1, p2 = c[e[ii, 0]], c[e[ii, 1]]
+    p3, p4 = c[e[jj, 0]], c[e[jj, 1]]
+
+    def cross2(a, b, pt):
+        return (b[:, 0] - a[:, 0]) * (pt[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
+            pt[:, 0] - a[:, 0]
+        )
+
+    def sign(v):
+        return np.where(v > CROSSING_EPS, 1, np.where(v < -CROSSING_EPS, -1, 0))
+
+    s1 = sign(cross2(p3, p4, p1))
+    s2 = sign(cross2(p3, p4, p2))
+    s3 = sign(cross2(p1, p2, p3))
+    s4 = sign(cross2(p1, p2, p4))
+    proper = (s1 * s2 < 0) & (s3 * s4 < 0)
+
+    def in_bbox(a, b, pt):
+        lo = np.minimum(a, b) - CROSSING_EPS
+        hi = np.maximum(a, b) + CROSSING_EPS
+        return np.all((pt >= lo) & (pt <= hi), axis=1)
+
+    touching = (
+        ((s1 == 0) & in_bbox(p3, p4, p1))
+        | ((s2 == 0) & in_bbox(p3, p4, p2))
+        | ((s3 == 0) & in_bbox(p1, p2, p3))
+        | ((s4 == 0) & in_bbox(p1, p2, p4))
+    )
+    crossing = proper | touching
+    ii, jj = ii[crossing], jj[crossing]
+    u = c[e[ii, 1]] - c[e[ii, 0]]
+    v = c[e[jj, 1]] - c[e[jj, 0]]
+    dot = np.abs(u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1])
+    nu = np.sqrt((u * u).sum(axis=1))
+    nv = np.sqrt((v * v).sum(axis=1))
+    denom = np.where(nu * nv == 0.0, 1.0, nu * nv)
+    angles = np.degrees(np.arccos(np.clip(dot / denom, -1.0, 1.0)))
+    return np.column_stack([ii, jj]), angles

@@ -196,6 +196,16 @@ class TestMetricsCommand:
                      "-o", str(dest)]) == 0
         assert "crossings" in json.loads(dest.read_text())
 
+    def test_edgeless_graph(self, tmp_path, capsys):
+        # Self-loops are dropped, leaving three isolated vertices: FR lays
+        # them out and the scorecard reports no edge-length spread.
+        gpath = write_graph(tmp_path, text="0 0\n1 1\n2 2\n")
+        assert main(["layout", str(gpath), "--alg", "fr", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["metrics", str(gpath), str(tmp_path / "g_fr.csv")]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["crossings"] == 0 and data["edge_length_stdev"] is None
+
 
 class TestBenchCommand:
     def test_writes_both_csvs(self, tmp_path):

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from snburst import (
     Graph,
     Layout,
     MetricsReport,
+    SnbParams,
     avg_adjacent_angle,
     avg_crossing_angle,
     compute_metrics,
@@ -20,6 +22,7 @@ from snburst import (
     find_crossings,
     gen_queen,
     min_pair_distance_scaled,
+    snb_run,
     vertex_distribution,
 )
 
@@ -162,6 +165,64 @@ class TestCrossingBlocks:
         assert peak < 64 * 2**20
 
 
+class TestCrossingsMatchGatheredPass:
+    """find_crossings is bitwise equal to the frozen gathered pass: the same
+    pairs in the same order, the same angles, the same dtypes."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(21)
+        for _ in range(4):
+            n = rng.randint(8, 20)
+            g = random_graph(n, rng.randint(20, min(70, n * (n - 1) // 2)), rng)
+            yield "random", g, random_layout_coords(n, rng)
+        g = gen_queen(6, 6)
+        yield "random", g, np.random.default_rng(3).random((g.n, 2))
+        for g, seed in ((gen_queen(6, 6), 0), (gen_queen(5, 3), 1), (random_connected_graph(30, 60, rng), 2)):
+            final = snb_run(g, SnbParams(sync_param=4.0, seed=seed)).final_layout
+            yield "snb-final", g, final.coords
+        # Vertices on a 3 x 3 lattice, several per point: zero-length edges
+        # and edges touching at an endpoint or a midpoint.
+        for g in (gen_queen(4, 4), random_graph(14, 40, rng)):
+            yield "coincident-lattice", g, np.array(
+                [(rng.randrange(3), rng.randrange(3)) for _ in range(g.n)], dtype=float
+            )
+        # Vertices on integer grid points: collinear overlapping edges.
+        for r, c in ((5, 5), (3, 6)):
+            g = gen_queen(r, c)
+            yield "integer-grid", g, np.array([(i % c, i // c) for i in range(g.n)], dtype=float)
+
+    @staticmethod
+    def assert_same(g, layout):
+        pairs, angles = find_crossings(g, layout)
+        want_pairs, want_angles = oracles.gathered_find_crossings(g, layout)
+        assert pairs.dtype == want_pairs.dtype and angles.dtype == want_angles.dtype
+        assert np.array_equal(pairs, want_pairs)
+        assert np.array_equal(angles, want_angles)
+        return len(pairs)
+
+    @pytest.mark.parametrize("rows", [None, 1, 3, 7])
+    def test_bitwise_equal(self, monkeypatch, rows):
+        kinds = set()
+        for kind, g, coords in self.cases():
+            if rows is not None:
+                monkeypatch.setattr(metrics, "CROSSING_BLOCK_PAIRS", rows * g.m)
+            if self.assert_same(g, Layout(coords)):
+                kinds.add(kind)
+        assert kinds == {"random", "snb-final", "coincident-lattice", "integer-grid"}
+
+    @pytest.mark.parametrize("edges, coords", [
+        ((), [(0, 0), (1, 1), (2, 0), (3, 1)]),
+        (((0, 1),), [(0, 0), (1, 1), (2, 0), (3, 1)]),
+        (((0, 1), (2, 3)), [(0, 0), (1, 1), (0, 1), (1, 0)]),
+        (((0, 1), (2, 3)), [(0, 0), (1, 1), (2, 0), (3, 1)]),
+        (((0, 1), (1, 2)), [(0, 0), (1, 1), (0, 1), (1, 0)]),
+        (((0, 1), (2, 3)), [(0, 0), (0, 0), (0, 0), (1, 0)]),
+    ], ids=["m0", "m1", "m2-cross", "m2-apart", "m2-shared", "m2-point-on-end"])
+    def test_few_edges(self, edges, coords):
+        self.assert_same(Graph(4, edges), L(*coords))
+
+
 class TestAdjacentAngles:
     def test_collinear_path_is_180(self):
         g = Graph(3, ((0, 1), (1, 2)))
@@ -202,6 +263,19 @@ class TestAdjacentAngles:
         coords = random_layout_coords(g.n, rng)
         got = avg_adjacent_angle(g, Layout(coords))
         assert got == pytest.approx(oracles.avg_adjacent_angle(g, coords), rel=1e-9)
+
+    @pytest.mark.parametrize("g", [
+        gen_queen(5, 4),
+        Graph(6, tuple((0, k) for k in range(1, 6)) + ((2, 3), (4, 5))),
+        Graph(5, ((0, 1), (2, 3))),
+        Graph(3, ()),
+    ], ids=["queen", "star-plus", "matching", "edgeless"])
+    def test_triples_in_combinations_order(self, g):
+        # The numpy triples list the pairs exactly as combinations does, so
+        # the mean sums the same angles in the same order.
+        v, a, b = metrics._adjacent_triples(g)
+        want = [(x, y, z) for x in range(g.n) for y, z in combinations(g.adjacency[x], 2)]
+        assert list(zip(v.tolist(), a.tolist(), b.tolist())) == want
 
 
 class TestLengthsAndDistances:
@@ -309,6 +383,18 @@ class TestReport:
         assert r.min_pair_distance_scaled == pytest.approx(4.0)
         assert r.drawing_area == pytest.approx(1.0)
         assert len(r.per_vertex_radii) == 4
+
+    def test_edgeless_graph(self):
+        # No edges: no crossings and no adjacent pairs, and no edge-length
+        # spread to report; edge_length_stdev itself still refuses.
+        g = Graph(3, ())
+        layout = L((0, 0), (1, 0), (0, 1))
+        r = compute_metrics(g, layout)
+        assert r.crossings == 0 and r.avg_crossing_angle == 90.0
+        assert r.avg_adjacent_angle is None and r.edge_length_stdev is None
+        assert r.to_json_dict()["edge_length_stdev"] is None
+        with pytest.raises(ValueError, match="no edges"):
+            edge_length_stdev(g, layout)
 
     def test_similarity_invariance(self):
         # compute_metrics normalizes first, so scale/translation is a no-op.
