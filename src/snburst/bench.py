@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,6 +10,7 @@ from .fr import FrParams, fr_run
 from .graphs import Graph, GraphError, parse_edge_list, parse_graphml
 from .layout import DegenerateGraphError, RunRecord
 from .metrics import CSV_FIELDS, compute_metrics
+from .render import csv_text
 from .snb import SnbParams, compute_sync_param, snb_run
 
 log = logging.getLogger(__name__)
@@ -50,8 +48,9 @@ class BucketSummary:
 
 
 def load_graph_file(path: Path) -> Graph:
-    """Load a .graphml or edge-list graph file by extension."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Load a .graphml or edge-list graph file by extension (UTF-8, with or
+    without a byte-order mark)."""
+    text = Path(path).read_text(encoding="utf-8-sig")
     if Path(path).suffix.lower() in (".graphml", ".xml", ".gml"):
         return parse_graphml(text)
     return parse_edge_list(text)
@@ -89,15 +88,21 @@ def run_corpus(
     algorithms=ALGORITHMS,
     seeds_per_graph: int = 1,
     total_multiplier: int = 20,
+    *,
     workers: int = 1,
 ) -> list[RunRecord]:
-    """One RunRecord per (graph file, algorithm, seed).
+    """One RunRecord per (graph file, algorithm, seed), run one job at a time
+    so each record's wall times are uncontended.
 
     Unreadable or unparseable files, and graphs with n < 2 or m < 1 (on
     which every job would fail), are skipped with a logged warning.
-    Records come back sorted by (graph_id, algorithm, seed) regardless of
-    worker count, so the record set is deterministic.
+    Records come back sorted by (graph_id, algorithm, seed), so the record
+    set is deterministic.  `workers` is kept only for callers that still
+    pass `workers=1` (the benchmark's `perfbench/one_pass.py`); any other
+    value raises ValueError.
     """
+    if workers != 1:
+        raise ValueError(f"run_corpus runs its jobs serially; workers must be 1, got {workers}")
     directory = Path(directory)
     if not directory.is_dir():
         raise CorpusError(f"not a directory: {directory}")
@@ -113,22 +118,13 @@ def run_corpus(
         graphs.append((path.name, g))
     if not graphs:
         raise CorpusError(f"no usable graph files in {directory}")
-    jobs = [
-        (gid, g, alg, seed)
+    records = [
+        run_one(g, alg, seed, graph_id=gid, total_multiplier=total_multiplier)
         for gid, g in graphs
         for alg in algorithms
         for seed in range(seeds_per_graph)
     ]
-
-    def _run(job):
-        gid, g, alg, seed = job
-        return run_one(g, alg, seed, graph_id=gid, total_multiplier=total_multiplier)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run, jobs))
-    else:
-        records = [_run(job) for job in jobs]
+    # ALGORITHMS is ("snb", "fr"), which is not sorted order.
     records.sort(key=lambda r: (r.graph_id, r.algorithm, r.seed))
     return records
 
@@ -165,32 +161,26 @@ def bucketize(records: list[RunRecord]) -> list[BucketSummary]:
 
 
 def records_to_csv(records: list[RunRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=RECORD_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for r in records:
-        row = {
-            "graph_id": r.graph_id,
-            "algorithm": r.algorithm,
-            "seed": r.seed,
-            "n": r.n,
-            "m": r.m,
-            "iterations": r.iterations,
-            "wall_time_total": r.wall_time_total,
-            "wall_time_per_iteration": r.wall_time_per_iteration,
-        }
-        if r.metrics is not None:
-            row.update(r.metrics.scalar_row())
-        writer.writerow(row)
-    return buf.getvalue()
+    """One row per record in RECORD_FIELDS order; a record without metrics
+    gets an empty cell for each metric."""
+    run_fields = RECORD_FIELDS[: -len(CSV_FIELDS)]
+    no_metrics = [None] * len(CSV_FIELDS)
+    return csv_text(
+        RECORD_FIELDS,
+        (
+            [getattr(r, name) for name in run_fields]
+            + (no_metrics if r.metrics is None else list(r.metrics.scalar_row().values()))
+            for r in records
+        ),
+    )
 
 
 def buckets_to_csv(summaries: list[BucketSummary]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=BUCKET_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(
-        {"bucket_index": s.bucket_index, "algorithm": s.algorithm, "count": s.count, **s.means}
-        for s in summaries
+    """One row per bucket in BUCKET_FIELDS order; a None mean is an empty cell."""
+    return csv_text(
+        BUCKET_FIELDS,
+        (
+            [s.bucket_index, s.algorithm, s.count, *(s.means[name] for name in BUCKET_FIELDS[3:])]
+            for s in summaries
+        ),
     )
-    return buf.getvalue()

@@ -100,7 +100,7 @@ def cmd_layout(graph_file, alg, seed, multiplier, sync_param, out_dir, labels):
 def cmd_metrics(graph_file, layout_csv, fmt, output):
     """Compute the aesthetic scorecard of LAYOUT_CSV for GRAPH_FILE."""
     g = bench_mod.load_graph_file(graph_file)
-    layout = read_layout_csv(Path(layout_csv).read_text(encoding="utf-8"))
+    layout = read_layout_csv(Path(layout_csv).read_text(encoding="utf-8-sig"))
     if len(layout) != g.n:
         raise ParseError(
             f"layout has {len(layout)} vertices but the graph has {g.n}"
@@ -125,17 +125,15 @@ def cmd_metrics(graph_file, layout_csv, fmt, output):
 @click.option("--seeds", type=POSITIVE_INT, default=1, show_default=True,
               help="Seeds per graph.")
 @click.option("--multiplier", type=POSITIVE_INT, default=20, show_default=True)
-@click.option("--workers", type=POSITIVE_INT, default=1, show_default=True,
-              help="Worker threads; keep 1 for clean timing.")
 @click.option("--out-dir", type=click.Path(), default=None)
-def cmd_bench(corpus_dir, algorithms, seeds, multiplier, workers, out_dir):
-    """Run the corpus in CORPUS_DIR and write records.csv and buckets.csv."""
+def cmd_bench(corpus_dir, algorithms, seeds, multiplier, out_dir):
+    """Run the corpus in CORPUS_DIR, one job at a time, and write records.csv
+    and buckets.csv."""
     records = bench_mod.run_corpus(
         corpus_dir,
         algorithms=tuple(dict.fromkeys(algorithms)),
         seeds_per_graph=seeds,
         total_multiplier=multiplier,
-        workers=workers,
     )
     buckets = bench_mod.bucketize(records)
     out = _out_dir(out_dir)

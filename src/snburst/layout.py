@@ -1,6 +1,6 @@
 """Layout container, run record, seeded start, normalization, the one run
-loop (`iterate`) and the pairwise kernel shared by both algorithms, the
-metrics and the harness."""
+loop (`iterate`) and the pairwise kernel (`pair_directions`) that both
+algorithms share."""
 
 from __future__ import annotations
 
@@ -140,15 +140,6 @@ def iterate(
         sync_end_layout=sync_end_layout,
         trajectory=trajectory,
     )
-
-
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense symmetric 0/1 adjacency matrix of `g`."""
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    return a
 
 
 class PairWorkspace:

@@ -3,17 +3,21 @@
 The algorithm applies a uniform repulsion magnitude M(t) to every vertex
 pair and an attraction magnitude m*M(t)^0.9 to every adjacent pair; the
 new coordinates of a vertex are the raw force sums, so only the angles
-between vertices in the previous layout matter.  M(t) grows like t^10 and
-overflows float range long before 20n iterations on dense graphs, so all
-magnitude arithmetic here is done in log space and each step works with
-the attraction:repulsion ratio m*M^(-0.1), which stays in range.  Every
-step output is renormalized (zero centroid, unit max-extent); this is
-exactly trajectory-preserving because the step depends only on directions
-between points.  Inside the loop the coordinates are a C-contiguous (2, n)
-float64 array of x and y rows, and the directions come from
-`layout.pair_directions`, which the FR baseline shares.  `snb_run` holds
-only the SnB iteration, as a generator of positions; `layout.iterate`
-starts, times, checks, snapshots and records it, as it does for FR.
+between vertices in the previous layout matter.  M(t) grows like t^10,
+but with the derived s, log M(20n) is only 72-97 on dense graphs (queen
+8x8 and 16x16, K60, scale-free n = 400), far below the 709.8 where exp
+overflows.  A user-given tiny s is what leaves float range: with s = 1e-300,
+M(1) already overflows.  So all magnitude arithmetic here is done in log
+space; each step works with the attraction:repulsion ratio m*M^(-0.1),
+which stays in range, and `total_magnitude_curve` writes inf totals but
+keeps the sign of f.  Every step output is renormalized (zero centroid,
+unit max-extent); this is exactly trajectory-preserving because the step
+depends only on directions between points.  Inside the loop the
+coordinates are a C-contiguous (2, n) float64 array of x and y rows, and
+the directions come from `layout.pair_directions`, which the FR baseline
+shares.  `snb_run` holds only the SnB iteration, as a generator of
+positions; `layout.iterate` starts, times, checks, snapshots and records
+it, as it does for FR.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .layout import (
     Layout,
     PairWorkspace,
     RunRecord,
-    adjacency_matrix,
     iterate,
     pair_directions,
 )
@@ -154,6 +157,15 @@ def sync_phase_iterations(g: Graph, p: SnbParams) -> int:
 # Stepping
 
 
+def _adjacency_matrix(g: Graph) -> np.ndarray:
+    """Dense symmetric 0/1 adjacency matrix of `g`."""
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        a[u, v] = 1.0
+        a[v, u] = 1.0
+    return a
+
+
 def _step(u, adj, ratio):
     """One Sync-and-Burst iteration from the unit directions `u` of
     `layout.pair_directions`.
@@ -181,7 +193,7 @@ def snb_step(g: Graph, prev: Layout, magnitude_prev: float, p: SnbParams) -> Lay
         raise ValueError("magnitude_prev must be positive")
     ratio = g.m * magnitude_prev ** (ATTRACTION_EXPONENT - 1.0)
     u, _ = pair_directions(np.ascontiguousarray(prev.coords.T), prev.iteration, p.seed)
-    return Layout(_step(u, adjacency_matrix(g), ratio).T, prev.iteration + 1)
+    return Layout(_step(u, _adjacency_matrix(g), ratio).T, prev.iteration + 1)
 
 
 def snb_run(
@@ -201,7 +213,7 @@ def snb_run(
     if params is None:
         params = SnbParams(sync_param=compute_sync_param(g))
     log_m = math.log(g.m)
-    adj = adjacency_matrix(g)
+    adj = _adjacency_matrix(g)
 
     def positions(pos):
         ws = PairWorkspace(g.n)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -133,14 +134,41 @@ class TestRunCorpus:
         with pytest.raises(CorpusError):
             run_corpus(tmp_path / "nope")
 
-    def test_workers_agree_with_serial(self, tmp_path):
+    def test_workers_one_is_the_default_run(self, tmp_path):
+        # perfbench/one_pass.py calls run_corpus(..., workers=1).
         corpus = make_corpus(tmp_path)
-        serial = run_corpus(corpus, algorithms=("snb",))
-        threaded = run_corpus(corpus, algorithms=("snb",), workers=3)
-        for a, b in zip(serial, threaded):
-            assert (a.graph_id, a.algorithm, a.seed) == (b.graph_id, b.algorithm, b.seed)
+        default = run_corpus(corpus)
+        benchmark_shape = run_corpus(corpus, workers=1)
+        assert len(default) == len(benchmark_shape) == 6
+        for a, b in zip(default, benchmark_shape):
+            assert (a.graph_id, a.algorithm, a.seed, a.iterations) == (
+                b.graph_id, b.algorithm, b.seed, b.iterations
+            )
             assert np.array_equal(a.final_layout.coords, b.final_layout.coords)
-            assert a.metrics.crossings == b.metrics.crossings
+            if a.sync_end_layout is not None:
+                assert np.array_equal(a.sync_end_layout.coords, b.sync_end_layout.coords)
+            assert a.metrics.scalar_row() == b.metrics.scalar_row()
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_other_worker_counts_rejected(self, tmp_path, workers):
+        corpus = make_corpus(tmp_path)
+        with pytest.raises(ValueError, match="workers must be 1"):
+            run_corpus(corpus, workers=workers)
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        corpus = make_corpus(tmp_path)
+        (corpus / "bom.txt").write_text("\ufeff" + CYCLE5, encoding="utf-8")
+        (corpus / "bom.graphml").write_text("\ufeff" + GRAPHML_TRIANGLE, encoding="utf-8")
+        assert load_graph_file(corpus / "bom.txt").edges == load_graph_file(
+            corpus / "cycle5.txt"
+        ).edges
+        records = run_corpus(corpus, algorithms=("snb",))
+        by_id = {r.graph_id: r for r in records}
+        assert set(by_id) == {"bom.graphml", "bom.txt", "cycle5.txt", "path4.txt",
+                              "triangle.graphml"}
+        assert np.array_equal(by_id["bom.txt"].final_layout.coords,
+                              by_id["cycle5.txt"].final_layout.coords)
+        assert (by_id["bom.graphml"].n, by_id["bom.graphml"].m) == (3, 3)
 
 
 class TestBucketize:
@@ -200,6 +228,33 @@ class TestCsv:
         rows = list(csv.DictReader(io.StringIO(text)))
         assert list(rows[0]) == BUCKET_FIELDS
         assert float(rows[0]["mean_crossings"]) == pytest.approx(3.0)
+
+    def test_golden_bytes(self):
+        # The text csv.DictWriter(restval="") wrote before both tables moved to
+        # render.csv_text: a numpy float64 metric, a None metric (empty cell),
+        # 1/240, and a record without metrics (one empty cell per metric).
+        records = [
+            fake_record(12, "snb", 2, adjacent=np.float64(2.0) / 3.0),
+            fake_record(12, "fr", 8, adjacent=None),
+            dataclasses.replace(fake_record(13, "snb", 3), metrics=None),
+        ]
+        assert records_to_csv(records) == (
+            "graph_id,algorithm,seed,n,m,iterations,wall_time_total,"
+            "wall_time_per_iteration,crossings,avg_crossing_angle,avg_adjacent_angle,"
+            "edge_length_stdev,min_pair_distance_scaled,vertex_distribution,drawing_area\n"
+            "g12,snb,0,12,12,240,1.0,0.004166666666666667,2,90.0,0.6666666666666666,"
+            "0.1,1.0,0.3,1.0\n"
+            "g12,fr,0,12,12,240,1.0,0.004166666666666667,8,90.0,,0.1,1.0,0.3,1.0\n"
+            "g13,snb,0,13,13,260,1.0,0.0038461538461538464,,,,,,,\n"
+        )
+        assert buckets_to_csv(bucketize(records)) == (
+            "bucket_index,algorithm,count,mean_crossings,mean_avg_crossing_angle,"
+            "mean_avg_adjacent_angle,mean_edge_length_stdev,"
+            "mean_min_pair_distance_scaled,mean_vertex_distribution,mean_drawing_area,"
+            "mean_wall_time_per_iteration\n"
+            "2,fr,1,8.0,90.0,,0.1,1.0,0.3,1.0,0.004166666666666667\n"
+            "2,snb,2,2.0,90.0,0.6666666666666666,0.1,1.0,0.3,1.0,0.004006410256410256\n"
+        )
 
     def test_none_mean_written_empty(self):
         summaries = bucketize([fake_record(12, "snb", 2, adjacent=None)])

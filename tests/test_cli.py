@@ -182,6 +182,21 @@ class TestMetricsCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 1 and "crossings" in rows[0]
 
+    def test_byte_order_mark_accepted(self, tmp_path, capsys):
+        # Excel's "CSV UTF-8" and Notepad both start the file with a BOM.
+        gpath = write_graph(tmp_path)
+        assert main(["layout", str(gpath), "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        layout_csv = tmp_path / "g_snb.csv"
+        bom_csv = tmp_path / "bom.csv"
+        bom_csv.write_text("\ufeff" + layout_csv.read_text(), encoding="utf-8")
+        bom_graph = tmp_path / "bom.txt"
+        bom_graph.write_text("\ufeff" + PATH4, encoding="utf-8")
+        assert main(["metrics", str(gpath), str(layout_csv)]) == 0
+        want = capsys.readouterr().out
+        assert main(["metrics", str(bom_graph), str(bom_csv)]) == 0
+        assert capsys.readouterr().out == want
+
     def test_vertex_count_mismatch(self, tmp_path):
         gpath = write_graph(tmp_path)
         lpath = tmp_path / "short.csv"
@@ -225,6 +240,14 @@ class TestBenchCommand:
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         assert main(["bench", str(corpus)]) == EXIT_IO
+
+    def test_workers_option_is_gone(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_graph(corpus)
+        out = tmp_path / "results"
+        assert main(["bench", str(corpus), "--out-dir", str(out), "--workers", "2"]) == EXIT_USAGE
+        assert not out.exists()
 
 
 class TestCurveCommand:
@@ -306,7 +329,6 @@ class TestExitCodes:
         ["layout", "{graph}", "--out-dir", "{out}", "--multiplier", "0"],
         ["layout", "{graph}", "--out-dir", "{out}", "--sync-param", "0"],
         ["bench", "{corpus}", "--out-dir", "{out}", "--seeds", "0"],
-        ["bench", "{corpus}", "--out-dir", "{out}", "--workers", "0"],
         ["bench", "{corpus}", "--out-dir", "{out}", "--multiplier", "0"],
         # s must be below total_multiplier - s.
         ["layout", "{graph}", "--out-dir", "{out}", "--sync-param", "25"],
