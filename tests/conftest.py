@@ -54,3 +54,9 @@ def clustered_connected_graph(n_clusters, cluster_size, extra_edges, rng):
 
 def random_layout_coords(n, rng):
     return np.array([[rng.random(), rng.random()] for _ in range(n)])
+
+
+def lattice_coords(n):
+    """Vertex i on point i mod 9 of the 3 x 3 lattice {0, 1/2, 1}^2, so
+    every n > 9 starts with coincident vertices."""
+    return np.array([[(i % 3) / 2, (i % 9 // 3) / 2] for i in range(n)])

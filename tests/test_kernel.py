@@ -11,17 +11,11 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_graph
+from conftest import lattice_coords, random_graph
 from snburst import FrParams, Layout, SnbParams, fr_run, gen_scale_free, snb_run
 from snburst import layout as layout_mod
 from snburst.layout import PairWorkspace, initial_layout, pair_directions
 from snburst.snb import ATTRACTION_EXPONENT, log_magnitude
-
-
-def lattice_coords(n):
-    """Vertex i on point i mod 9 of the 3 x 3 lattice {0, 1/2, 1}^2, so
-    every n > 9 starts with coincident vertices."""
-    return np.array([[(i % 3) / 2, (i % 9 // 3) / 2] for i in range(n)])
 
 
 def frames(record, start):
