@@ -78,6 +78,7 @@ def fr_run(
     def positions(pos):
         ws = PairWorkspace(g.n)
         coef = ws.scratch
+        d_flat, coef_flat = ws.d.reshape(-1), coef.reshape(-1)
         for t in range(1, total + 1):
             u, d = pair_directions(pos, t, params.seed, ws)
             if ws.coincident:
@@ -85,12 +86,13 @@ def fr_run(
             # Per pair: repulsion k^2/d away, plus attraction d^2/k toward a
             # neighbour, added on the edges only (0*x - y == -y elsewhere).
             np.divide(-(k * k), d, out=coef)
-            np.take(d, edge_pairs, out=attraction)
-            np.multiply(attraction, attraction, out=attraction)
+            np.take(d_flat, edge_pairs, out=attraction)
+            np.square(attraction, out=attraction)
             np.divide(attraction, k, out=attraction)
-            np.take(coef, edge_pairs, out=repulsion)
+            np.take(coef_flat, edge_pairs, out=repulsion)
             np.add(attraction, repulsion, out=attraction)
-            np.put(coef, edge_pairs, attraction)
+            # The edge indices are unique, so the writes' order is moot.
+            coef_flat[edge_pairs] = attraction
             ws.scratch_diagonal[...] = 0.0
             disp = np.einsum("ij,cij->ci", coef, u)
             norm = np.sqrt(disp[0] * disp[0] + disp[1] * disp[1])

@@ -182,10 +182,14 @@ def pair_directions(
     if ws is None:
         ws = PairWorkspace(pos.shape[1])
     u, d, scratch = ws.u, ws.d, ws.scratch
-    np.subtract(pos[:, None, :], pos[:, :, None], out=u)
+    # u[c, i, j] = pos[c, j] - pos[c, i]: copy the rows, then subtract in
+    # place.  One subtract that broadcasts both operands gives the same bits
+    # but runs its inner loop over a stride-0 operand and is slower.
+    np.copyto(u, pos[:, None, :])
+    np.subtract(u, pos[:, :, None], out=u)
     dx, dy = u
-    np.multiply(dx, dx, out=scratch)
-    np.multiply(dy, dy, out=d)
+    np.square(dx, out=scratch)
+    np.square(dy, out=d)
     np.add(scratch, d, out=d)
     np.sqrt(d, out=d)
     ws.d_diagonal[...] = 1.0

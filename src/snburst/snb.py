@@ -89,9 +89,17 @@ def log_magnitude(t: int, g: Graph, p: SnbParams) -> float:
     return SCHEDULE_EXPONENT * base
 
 
+def _safe_exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def magnitude(t: int, g: Graph, p: SnbParams) -> float:
-    """Uniform repulsion magnitude M(t) = (2 t m^2 / (s n^2 (n-1)))^10."""
-    return math.exp(log_magnitude(t, g, p))
+    """Uniform repulsion magnitude M(t) = (2 t m^2 / (s n^2 (n-1)))^10;
+    inf where it leaves float range."""
+    return _safe_exp(log_magnitude(t, g, p))
 
 
 def log_turning_point_magnitude(g: Graph) -> float:
@@ -104,13 +112,6 @@ def log_turning_point_magnitude(g: Graph) -> float:
 def turning_point_magnitude(g: Graph) -> float:
     """M at the sync/burst turning point: (2 m^2 / (n (n-1)))^10."""
     return math.exp(log_turning_point_magnitude(g))
-
-
-def _safe_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def total_magnitude_curve(g: Graph, p: SnbParams, t_max: int):

@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from conftest import lattice_coords, random_graph
-from snburst import FrParams, Layout, SnbParams, fr_run, gen_scale_free, snb_run
+from snburst import FrParams, Layout, SnbParams, fr_run, gen_queen, gen_scale_free, snb_run
 from snburst import layout as layout_mod
 from snburst.layout import PairWorkspace, initial_layout, pair_directions
 from snburst.snb import ATTRACTION_EXPONENT, log_magnitude
@@ -64,6 +64,17 @@ class TestFramesMatchDenseOracle:
             g = random_graph(n, rng.randint(1, n * (n - 1) // 2), rng)
             params = SnbParams(sync_param=rng.uniform(0.5, 2.0), seed=seed, total_multiplier=5)
             check_snb_frames(g, params, initial_layout(g, seed))
+
+    def test_fr_dense_edges_bytes(self):
+        # Queen 12 x 12 (m = 2596): the edge scatter writes 5192 of the
+        # 20736 coefficients.  First and last frames, byte for byte.
+        g = gen_queen(12, 12)
+        r = fr_run(g, FrParams(seed=3, total_multiplier=1), capture_every=1)
+        pos = frames(r, initial_layout(g, 3))
+        adj = oracles.dense_adjacency(g)
+        for t in (1, r.iterations):
+            want = oracles.dense_fr_iteration(adj, pos[t - 1], t, r.iterations, 3)
+            assert pos[t].tobytes() == want.tobytes(), f"FR frame {t}"
 
     @pytest.mark.parametrize("n", [10, 14, 20])
     def test_coincident_lattice_starts(self, monkeypatch, n):

@@ -10,6 +10,7 @@ from snburst import (
     SnbParams,
     compute_sync_param,
     gen_queen,
+    gen_wagner,
     log_magnitude,
     magnitude,
     sync_phase_iterations,
@@ -54,6 +55,12 @@ class TestMagnitude:
         p = SnbParams(sync_param=1.0)
         vals = [log_magnitude(t, C4, p) for t in range(1, 200)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    def test_overflow_is_inf(self):
+        # log M(1) is about 6.9e3 here, past the 709.8 where exp overflows.
+        p = SnbParams(sync_param=1e-300)
+        assert log_magnitude(1, gen_wagner(), p) > 709.8
+        assert magnitude(1, gen_wagner(), p) == math.inf
 
     def test_degenerate_graph(self):
         g = Graph(1, ())

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from conftest import (
     clustered_connected_graph,
+    lattice_coords,
     random_connected_graph,
     random_graph,
     random_layout_coords,
@@ -27,7 +28,7 @@ from snburst import (
     snb_step,
     sync_phase_iterations,
 )
-from snburst.layout import pair_directions
+from snburst.layout import PairWorkspace, pair_directions
 from snburst.rng import hash_angle
 
 
@@ -107,6 +108,24 @@ class TestPairDirections:
         assert np.array_equal(u, again)
         later, _ = pair_directions(pos, 8, 11)
         assert not np.array_equal(u[:, 0, 1], later[:, 0, 1])
+
+    @pytest.mark.parametrize("n, lattice", [(200, False), (40, True)])
+    def test_bytes_match_dense_oracle_on_reused_workspace(self, n, lattice):
+        # Benchmark-sized inputs, compared byte for byte so a -0.0 where the
+        # oracle has +0.0 fails too.  The workspace is reused, with FR's
+        # between-call writes (clamped d, filled scratch) left in it.
+        rng = np.random.default_rng(n)
+        ws = PairWorkspace(n)
+        for iteration in range(3):
+            pos = lattice_coords(n).T if lattice else rng.random((2, n))
+            pos = np.ascontiguousarray(pos)
+            u, d = pair_directions(pos, iteration, 9, ws)
+            assert ws.coincident is lattice
+            want_u, want_d = oracles.dense_pair_directions(pos, iteration, 9)
+            assert u.tobytes() == want_u.tobytes()
+            assert d.tobytes() == want_d.tobytes()
+            d[d == 0.0] = 1e-9
+            ws.scratch.fill(np.nan)
 
 
 class TestStep:
