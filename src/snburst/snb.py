@@ -9,15 +9,15 @@ but with the derived s, log M(20n) is only 72-97 on dense graphs (queen
 overflows.  A user-given tiny s is what leaves float range: with s = 1e-300,
 M(1) already overflows.  So all magnitude arithmetic here is done in log
 space; each step works with the attraction:repulsion ratio m*M^(-0.1),
-which stays in range, and `total_magnitude_curve` writes inf totals but
-keeps the sign of f.  Every step output is renormalized (zero centroid,
-unit max-extent); this is exactly trajectory-preserving because the step
-depends only on directions between points.  Inside the loop the
-coordinates are a C-contiguous (2, n) float64 array of x and y rows, and
-the directions come from `layout.pair_directions`, which the FR baseline
-shares.  `snb_run` holds only the SnB iteration, as a generator of
-positions; `layout.iterate` starts, times, checks, snapshots and records
-it, as it does for FR.
+which stays in range; `magnitude` returns inf, and `total_magnitude_curve`
+writes inf totals but keeps the sign of f.  Every step output is
+renormalized (zero centroid, unit max-extent); this is exactly
+trajectory-preserving because the step depends only on directions between
+points.  Inside the loop the coordinates are a C-contiguous (2, n)
+float64 array of x and y rows, and the directions come from
+`layout.pair_directions`, which the FR baseline shares.  `snb_run` holds
+only the SnB iteration, as a generator of positions; `layout.iterate`
+starts, times, checks, snapshots and records it, as it does for FR.
 """
 
 from __future__ import annotations

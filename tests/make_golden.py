@@ -87,11 +87,10 @@ def record_digest(record) -> str:
 def job_digest(key: str) -> str:
     name, algorithm, seed, lattice = JOBS[key]
     g = GRAPHS[name]()
-    if not lattice:
-        return record_digest(run_one(g, algorithm, seed))
-    start = Layout(lattice_coords(g.n))
     seeded = layout_mod.initial_layout
-    layout_mod.initial_layout = lambda g, seed: start
+    if lattice:
+        start = Layout(lattice_coords(g.n))
+        layout_mod.initial_layout = lambda g, seed: start
     try:
         return record_digest(run_one(g, algorithm, seed))
     finally:
