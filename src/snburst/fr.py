@@ -6,8 +6,9 @@ decaying temperature, positions clipped to [0, 1].  All-pairs (no grid) on
 purpose: it keeps the per-iteration cost O(n^2), the same as
 Sync-and-Burst, so per-iteration timing comparisons are apples to apples.
 `fr_run` holds only the FR iteration, as a generator of positions; the
-seeded start, the clock, the finiteness check, the trajectory and the
-record come from `layout.iterate`, the loop SnB runs in too.
+seeded start, the workspace, the clock, the finiteness check, the
+trajectory and the record come from `layout.iterate`, the loop SnB runs in
+too.  Attraction is added only on the edges' flat `layout.edge_pairs`.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 from .graphs import Graph
 from .layout import (
     DegenerateGraphError,
-    PairWorkspace,
     RunRecord,
+    edge_pairs,
     iterate,
     pair_directions,
 )
@@ -69,14 +70,9 @@ def fr_run(
     total = params.total_multiplier * g.n
     k = math.sqrt(1.0 / g.n)
     t0 = INITIAL_TEMPERATURE
-    # Flat indices of (u, v) and (v, u) for every edge, into an n x n array.
-    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
-    edge_pairs = np.concatenate((ends[0] * g.n + ends[1], ends[1] * g.n + ends[0]))
-    attraction = np.empty(len(edge_pairs))
-    repulsion = np.empty(len(edge_pairs))
+    edges = edge_pairs(g)
 
-    def positions(pos):
-        ws = PairWorkspace(g.n)
+    def positions(pos, ws):
         coef = ws.scratch
         d_flat, coef_flat = ws.d.reshape(-1), coef.reshape(-1)
         for t in range(1, total + 1):
@@ -85,14 +81,9 @@ def fr_run(
                 d[d == 0.0] = _COINCIDENT_DIST
             # Per pair: repulsion k^2/d away, plus attraction d^2/k toward a
             # neighbour, added on the edges only (0*x - y == -y elsewhere).
+            # The edge indices are distinct, so `+=` adds to each one once.
             np.divide(-(k * k), d, out=coef)
-            np.take(d_flat, edge_pairs, out=attraction)
-            np.square(attraction, out=attraction)
-            np.divide(attraction, k, out=attraction)
-            np.take(coef_flat, edge_pairs, out=repulsion)
-            np.add(attraction, repulsion, out=attraction)
-            # The edge indices are unique, so the writes' order is moot.
-            coef_flat[edge_pairs] = attraction
+            coef_flat[edges] += np.square(d_flat[edges]) / k
             ws.scratch_diagonal[...] = 0.0
             disp = np.einsum("ij,cij->ci", coef, u)
             norm = np.sqrt(disp[0] * disp[0] + disp[1] * disp[1])

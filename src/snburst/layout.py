@@ -1,6 +1,6 @@
-"""Layout container, run record, seeded start, normalization, the one run
-loop (`iterate`) and the pairwise kernel (`pair_directions`) that both
-algorithms share."""
+"""Layout container, run record, seeded start, normalization, and what both
+algorithms share: the run loop (`iterate`, owner of a run's workspace), the
+pairwise kernel (`pair_directions`) and the flat edge index (`edge_pairs`)."""
 
 from __future__ import annotations
 
@@ -109,18 +109,20 @@ def iterate(
 ) -> RunRecord:
     """Run one layout algorithm from `initial_layout(g, seed)` and record it.
 
-    `positions(start)` is the algorithm's own iteration: a generator that
-    takes the start as a C-contiguous (2, n) array and yields the (2, n)
-    positions after iterations 1, 2, ...; the number of yields is the
-    iteration count.  Every iterate must be finite (else `NumericError`).
-    The layout after iteration `sync_end` (0: none) and every
-    `capture_every`-th one (0: none) are kept.  Only the loop is timed.
+    `positions(start, ws)` is the algorithm's own iteration: a generator
+    that takes the start as a C-contiguous (2, n) array and the run's
+    `PairWorkspace`, and yields the (2, n) positions after iterations 1,
+    2, ...; the number of yields is the iteration count.  Every iterate must
+    be finite (else `NumericError`).  The layout after iteration `sync_end`
+    (0: none) and every `capture_every`-th one (0: none) are kept.  Only the
+    loop is timed: the start and the workspace are made before the clock.
     """
     pos = np.ascontiguousarray(initial_layout(g, seed).coords.T)
+    ws = PairWorkspace(g.n)
     sync_end_layout = None
     trajectory = []
     start = time.perf_counter()
-    for t, pos in enumerate(positions(pos), start=1):
+    for t, pos in enumerate(positions(pos, ws), start=1):
         if not np.isfinite(pos).all():
             raise NumericError(f"non-finite coordinates at {algorithm} iteration {t}")
         if t == sync_end:
@@ -143,7 +145,7 @@ def iterate(
 
 
 class PairWorkspace:
-    """The arrays `pair_directions` writes into, allocated once per run.
+    """The arrays `pair_directions` writes into; `iterate` makes one per run.
 
     For n vertices it holds 4 n^2 float64 values (32 n^2 bytes): `u`, the
     (2, n, n) coordinate differences that are divided in place into unit
@@ -163,24 +165,26 @@ class PairWorkspace:
         self.coincident = False
 
 
-def pair_directions(
-    pos: np.ndarray, iteration: int, seed: int, ws: PairWorkspace | None = None
-):
+def edge_pairs(g: Graph) -> np.ndarray:
+    """Flat indices into a row-major n x n array of (u, v), then (v, u), for
+    every edge: 2m indices, distinct as `Graph` has no loops or repeats."""
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    return np.concatenate((ends[0] * g.n + ends[1], ends[1] * g.n + ends[0]))
+
+
+def pair_directions(pos: np.ndarray, iteration: int, seed: int, ws: PairWorkspace):
     """Unit directions and distances between all vertex pairs.
 
     `pos` is a C-contiguous (2, n) array of x and y rows.  Returns `(u, d)`:
     `u` is (2, n, n) and `u[:, i, j]` the unit direction from vertex i to
-    vertex j, zero on the diagonal; `d` is the (n, n) distance matrix with
-    a diagonal of 1.  Both are `ws.u` and `ws.d`, overwritten by the next
-    call on `ws`; without `ws` the call makes a fresh workspace.
-    A coincident pair keeps d == 0 and gets the deterministic direction
-    hash_angle(seed, iteration, i, j) for i < j, negated for (j, i), so the
-    two contributions stay exactly opposite.  sqrt of the exact sum of
+    vertex j, zero on the diagonal; `d` is the (n, n) distance matrix with a
+    diagonal of 1.  Both are `ws.u` and `ws.d`, overwritten by the next call
+    on `ws`.  A coincident pair keeps d == 0 and gets the deterministic
+    direction hash_angle(seed, iteration, i, j) for i < j, negated for (j, i),
+    so the two contributions stay exactly opposite.  sqrt of the exact sum of
     squares (not hypot) keeps u bitwise invariant under exact power-of-two
     rescaling of the input.
     """
-    if ws is None:
-        ws = PairWorkspace(pos.shape[1])
     u, d, scratch = ws.u, ws.d, ws.scratch
     # u[c, i, j] = pos[c, j] - pos[c, i]: copy the rows, then subtract in
     # place.  One subtract that broadcasts both operands gives the same bits

@@ -158,7 +158,8 @@ def find_crossings(g: Graph, layout: Layout):
         denom = np.where(norms == 0.0, 1.0, norms)
         angles.append(np.degrees(np.arccos(np.clip(dot / denom, -1.0, 1.0))))
         pairs.append(np.column_stack([ii, jj]))
-    return np.concatenate(pairs), np.concatenate(angles)
+    pairs = np.concatenate(pairs)  # frees the pair blocks before the angles join
+    return pairs, np.concatenate(angles)
 
 
 def _signs(v: np.ndarray):

@@ -15,9 +15,11 @@ renormalized (zero centroid, unit max-extent); this is exactly
 trajectory-preserving because the step depends only on directions between
 points.  Inside the loop the coordinates are a C-contiguous (2, n)
 float64 array of x and y rows, and the directions come from
-`layout.pair_directions`, which the FR baseline shares.  `snb_run` holds
-only the SnB iteration, as a generator of positions; `layout.iterate`
-starts, times, checks, snapshots and records it, as it does for FR.
+`layout.pair_directions`, which the FR baseline shares; the attraction
+goes through a dense adjacency set on the flat `layout.edge_pairs`.
+`snb_run` holds only the SnB iteration, as a generator of positions;
+`layout.iterate` gives it the workspace and starts, times, checks,
+snapshots and records it, as it does for FR.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .layout import (
     Layout,
     PairWorkspace,
     RunRecord,
+    edge_pairs,
     iterate,
     pair_directions,
 )
@@ -161,9 +164,7 @@ def sync_phase_iterations(g: Graph, p: SnbParams) -> int:
 def _adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense symmetric 0/1 adjacency matrix of `g`."""
     a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
+    a.reshape(-1)[edge_pairs(g)] = 1.0
     return a
 
 
@@ -193,7 +194,8 @@ def snb_step(g: Graph, prev: Layout, magnitude_prev: float, p: SnbParams) -> Lay
     if not magnitude_prev > 0.0:
         raise ValueError("magnitude_prev must be positive")
     ratio = g.m * magnitude_prev ** (ATTRACTION_EXPONENT - 1.0)
-    u, _ = pair_directions(np.ascontiguousarray(prev.coords.T), prev.iteration, p.seed)
+    pos = np.ascontiguousarray(prev.coords.T)
+    u, _ = pair_directions(pos, prev.iteration, p.seed, PairWorkspace(g.n))
     return Layout(_step(u, _adjacency_matrix(g), ratio).T, prev.iteration + 1)
 
 
@@ -216,8 +218,7 @@ def snb_run(
     log_m = math.log(g.m)
     adj = _adjacency_matrix(g)
 
-    def positions(pos):
-        ws = PairWorkspace(g.n)
+    def positions(pos, ws):
         log_mag_prev = -log_m  # M(0) = 1/m
         for t in range(1, params.total_multiplier * g.n + 1):
             ratio = math.exp(log_m + (ATTRACTION_EXPONENT - 1.0) * log_mag_prev)

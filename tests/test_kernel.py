@@ -1,10 +1,12 @@
 """The in-place pairwise kernel and the runs built on it: every frame of
 `fr_run` and `snb_run` is bitwise equal to the frozen dense iterations in
-`oracles`, a reused workspace gives what a fresh one gives, and a run
-allocates no n x n array beyond its workspace."""
+`oracles`, a reused workspace gives what a fresh one gives, `iterate` makes
+the workspace before its clock starts, and a run allocates no n x n array
+beyond its workspace."""
 
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -98,7 +100,7 @@ class TestWorkspaceReuse:
             u, d = pair_directions(pos, iteration, 5, ws)
             assert np.shares_memory(u, ws.u) and np.shares_memory(d, ws.d)
             assert ws.coincident is want_coincident
-            fresh_u, fresh_d = pair_directions(pos, iteration, 5)
+            fresh_u, fresh_d = pair_directions(pos, iteration, 5, PairWorkspace(n))
             assert np.array_equal(u, fresh_u)
             assert np.array_equal(d, fresh_d)
             return d
@@ -111,6 +113,34 @@ class TestWorkspaceReuse:
         ws.scratch.fill(np.nan)
         check(distinct, 6, False)
         check(coincident, 7, True)
+
+
+def test_iterate_makes_workspace_before_clock_and_passes_it_on(monkeypatch):
+    # In order: each workspace `iterate` makes and each clock read.
+    events = []
+
+    class RecordingWorkspace(PairWorkspace):
+        def __init__(self, n):
+            super().__init__(n)
+            events.append(self)
+
+    class RecordingClock:
+        @staticmethod
+        def perf_counter():
+            events.append("clock")
+            return time.perf_counter()
+
+    monkeypatch.setattr(layout_mod, "PairWorkspace", RecordingWorkspace)
+    monkeypatch.setattr(layout_mod, "time", RecordingClock)
+    given = []
+
+    def positions(pos, ws):
+        given.append(ws)
+        yield pos
+
+    layout_mod.iterate(gen_queen(3, 3), "probe", 0, positions)
+    assert len(events) == 3 and events[1:] == ["clock", "clock"]
+    assert len(given) == 1 and given[0] is events[0]
 
 
 @pytest.mark.parametrize("algorithm, ceiling", [

@@ -80,7 +80,7 @@ class TestPairDirections:
     def test_unit_antisymmetric_zero_diagonal(self):
         rng = random.Random(6)
         coords = random_layout_coords(12, rng)
-        u, d = pair_directions(np.ascontiguousarray(coords.T), 3, 1)
+        u, d = pair_directions(np.ascontiguousarray(coords.T), 3, 1, PairWorkspace(12))
         assert u.shape == (2, 12, 12) and d.shape == (12, 12)
         assert np.all(np.diagonal(u, axis1=1, axis2=2) == 0.0)
         assert np.all(np.diag(d) == 1.0)
@@ -97,16 +97,17 @@ class TestPairDirections:
     def test_coincident_pairs_get_hashed_direction(self):
         # Vertices 0, 1 and 3 share one point; vertex 2 is elsewhere.
         pos = np.array([[0.25, 0.25, 0.75, 0.25], [0.5, 0.5, 0.0, 0.5]])
-        u, d = pair_directions(pos, 7, 11)
+        u, d = pair_directions(pos, 7, 11, PairWorkspace(4))
         for i, j in ((0, 1), (0, 3), (1, 3)):
             assert d[i, j] == d[j, i] == 0.0
             theta = hash_angle(11, 7, i, j)
             assert (u[0, i, j], u[1, i, j]) == (math.cos(theta), math.sin(theta))
             assert np.array_equal(u[:, j, i], -u[:, i, j])
         assert d[0, 2] > 0.0 and np.allclose(np.hypot(u[0, 0, 2], u[1, 0, 2]), 1.0)
-        again, _ = pair_directions(pos, 7, 11)
+        # Own workspaces: one shared with `u` would make `again` alias it.
+        again, _ = pair_directions(pos, 7, 11, PairWorkspace(4))
         assert np.array_equal(u, again)
-        later, _ = pair_directions(pos, 8, 11)
+        later, _ = pair_directions(pos, 8, 11, PairWorkspace(4))
         assert not np.array_equal(u[:, 0, 1], later[:, 0, 1])
 
     @pytest.mark.parametrize("n, lattice", [(200, False), (40, True)])
