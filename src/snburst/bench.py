@@ -6,6 +6,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import layout
 from .fr import FrParams, fr_run
 from .graphs import Graph, GraphError, parse_edge_list, parse_graphml
 from .layout import DegenerateGraphError, RunRecord
@@ -56,6 +57,38 @@ def load_graph_file(path: Path) -> Graph:
     return parse_edge_list(text)
 
 
+def run_batch(
+    g: Graph,
+    algorithm: str,
+    seeds,
+    graph_id: str = "",
+    total_multiplier: int = 20,
+    *,
+    sync_param: float | None = None,
+) -> list[RunRecord]:
+    """Run one algorithm on one graph for `seeds` as one batch, label each
+    record `graph_id` and attach its metric scorecard.
+
+    SnB takes `sync_param` as its s, computed from `g` when None.  Only the
+    iteration loop is timed; parsing and metrics stay outside the clock so
+    per-iteration times isolate the layout work itself.  A record's wall
+    times are the batch loop's divided by the number of seeds.
+    """
+    if algorithm == "snb":
+        if sync_param is None:
+            sync_param = compute_sync_param(g)
+        params = SnbParams(sync_param=sync_param, total_multiplier=total_multiplier)
+        records = snb_run(g, params, seeds=seeds)
+    elif algorithm == "fr":
+        records = fr_run(g, FrParams(total_multiplier=total_multiplier), seeds=seeds)
+    else:
+        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    for record in records:
+        record.graph_id = graph_id
+        record.metrics = compute_metrics(g, record.final_layout)
+    return records
+
+
 def run_one(
     g: Graph,
     algorithm: str,
@@ -63,23 +96,8 @@ def run_one(
     graph_id: str = "",
     total_multiplier: int = 20,
 ) -> RunRecord:
-    """Run one algorithm on one graph, label the record `graph_id` and
-    attach the metric scorecard.
-
-    Only the iteration loop is timed; parsing and metrics stay outside the
-    clock so per-iteration times isolate the layout work itself.
-    """
-    if algorithm == "snb":
-        params = SnbParams(
-            sync_param=compute_sync_param(g), seed=seed, total_multiplier=total_multiplier
-        )
-        record = snb_run(g, params)
-    elif algorithm == "fr":
-        record = fr_run(g, FrParams(seed=seed, total_multiplier=total_multiplier))
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    record.graph_id = graph_id
-    record.metrics = compute_metrics(g, record.final_layout)
+    """`run_batch` for the one seed `seed`: its labelled, scored record."""
+    (record,) = run_batch(g, algorithm, (seed,), graph_id, total_multiplier)
     return record
 
 
@@ -91,15 +109,17 @@ def run_corpus(
     *,
     workers: int = 1,
 ) -> list[RunRecord]:
-    """One RunRecord per (graph file, algorithm, seed), run one job at a time
-    so each record's wall times are uncontended.
+    """One RunRecord per (graph file, algorithm, seed), run one batch at a
+    time so each record's wall times are uncontended.
 
-    Unreadable or unparseable files, and graphs with n < 2 or m < 1 (on
-    which every job would fail), are skipped with a logged warning.
-    Records come back sorted by (graph_id, algorithm, seed), so the record
-    set is deterministic.  `workers` is kept only for callers that still
-    pass `workers=1` (the benchmark's `perfbench/one_pass.py`); any other
-    value raises ValueError.
+    A graph's seeds 0..seeds_per_graph-1 run in batches of
+    max(1, layout.PAIR_BLOCK // n^2) seeds (`run_batch`), and SnB's s is
+    computed once per graph.  Unreadable or unparseable files, and graphs
+    with n < 2 or m < 1 (on which every job would fail), are skipped with a
+    logged warning.  Records come back sorted by (graph_id, algorithm,
+    seed), so the record set is deterministic.  `workers` is kept only for
+    callers that still pass `workers=1` (the benchmark's
+    `perfbench/one_pass.py`); any other value raises ValueError.
     """
     if workers != 1:
         raise ValueError(f"run_corpus runs its jobs serially; workers must be 1, got {workers}")
@@ -118,12 +138,16 @@ def run_corpus(
         graphs.append((path.name, g))
     if not graphs:
         raise CorpusError(f"no usable graph files in {directory}")
-    records = [
-        run_one(g, alg, seed, graph_id=gid, total_multiplier=total_multiplier)
-        for gid, g in graphs
-        for alg in algorithms
-        for seed in range(seeds_per_graph)
-    ]
+    records = []
+    for gid, g in graphs:
+        per_batch = max(1, layout.PAIR_BLOCK // (g.n * g.n))
+        sync_param = compute_sync_param(g) if "snb" in algorithms else None
+        for alg in algorithms:
+            for first in range(0, seeds_per_graph, per_batch):
+                seeds = range(first, min(first + per_batch, seeds_per_graph))
+                records += run_batch(
+                    g, alg, seeds, gid, total_multiplier, sync_param=sync_param
+                )
     # ALGORITHMS is ("snb", "fr"), which is not sorted order.
     records.sort(key=lambda r: (r.graph_id, r.algorithm, r.seed))
     return records

@@ -8,7 +8,10 @@ Sync-and-Burst, so per-iteration timing comparisons are apples to apples.
 `fr_run` holds only the FR iteration, as a generator of positions; the
 seeded start, the workspace, the clock, the finiteness check, the
 trajectory and the record come from `layout.iterate`, the loop SnB runs in
-too.  Attraction is added only on the edges' flat `layout.edge_pairs`.
+too.  It advances B seeds as one (B, 2, n) array, since the temperature
+depends on t only; the displacement norm, its cap and the clip act per
+seed and vertex.  Attraction is added only on the edges' flat
+`layout.edge_pairs`, offset by k n^2 for batch row k.
 """
 
 from __future__ import annotations
@@ -54,29 +57,36 @@ def fr_run(
     g: Graph,
     params: FrParams | None = None,
     *,
+    seeds=None,
     capture_every: int = 0,
-) -> RunRecord:
+) -> RunRecord | list[RunRecord]:
     """Run FR for total_multiplier*n iterations.
 
     Deterministic given (g, params), from SnB's seeded start.  Coincident
     vertices get a deterministic hashed direction (index t at iteration t)
     and a tiny separation distance; the resulting huge repulsion is
-    harmless because displacement is capped by the temperature.
+    harmless because displacement is capped by the temperature.  Returns
+    the RunRecord of seed `params.seed`.  With `seeds`, runs those seeds
+    instead (`params.seed` unused) as one batch, since the temperature
+    depends only on t; each seed's record is bitwise what its own run gives.
+    Returns their records, in order.
     """
     if g.n < 2:
         raise DegenerateGraphError("a single vertex needs no layout")
     if params is None:
         params = FrParams()
+    batch = (params.seed,) if seeds is None else tuple(seeds)
     total = params.total_multiplier * g.n
     k = math.sqrt(1.0 / g.n)
     t0 = INITIAL_TEMPERATURE
-    edges = edge_pairs(g)
+    # The edges' flat indices into the (B, n, n) workspace arrays.
+    edges = (edge_pairs(g) + g.n * g.n * np.arange(len(batch))[:, None]).reshape(-1)
 
     def positions(pos, ws):
         coef = ws.scratch
         d_flat, coef_flat = ws.d.reshape(-1), coef.reshape(-1)
         for t in range(1, total + 1):
-            u, d = pair_directions(pos, t, params.seed, ws)
+            u, d = pair_directions(pos, t, batch, ws)
             if ws.coincident:
                 d[d == 0.0] = _COINCIDENT_DIST
             # Per pair: repulsion k^2/d away, plus attraction d^2/k toward a
@@ -85,11 +95,13 @@ def fr_run(
             np.divide(-(k * k), d, out=coef)
             coef_flat[edges] += np.square(d_flat[edges]) / k
             ws.scratch_diagonal[...] = 0.0
-            disp = np.einsum("ij,cij->ci", coef, u)
-            norm = np.sqrt(disp[0] * disp[0] + disp[1] * disp[1])
+            disp = np.einsum("bij,bcij->bci", coef, u)
+            # Per seed and vertex: cap the displacement at the temperature.
+            norm = np.sqrt(disp[:, 0] * disp[:, 0] + disp[:, 1] * disp[:, 1])
             temp = fr_temperature(t, total, t0)
             scale = np.where(norm > temp, temp / np.where(norm == 0.0, 1.0, norm), 1.0)
-            pos = np.clip(pos + disp * scale, 0.0, 1.0)
+            pos = np.clip(pos + disp * scale[:, None], 0.0, 1.0)
             yield pos
 
-    return iterate(g, "fr", params.seed, positions, capture_every=capture_every)
+    records = iterate(g, "fr", batch, positions, capture_every=capture_every)
+    return records[0] if seeds is None else records

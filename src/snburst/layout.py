@@ -1,6 +1,13 @@
 """Layout container, run record, seeded start, normalization, and what both
 algorithms share: the run loop (`iterate`, owner of a run's workspace), the
-pairwise kernel (`pair_directions`) and the flat edge index (`edge_pairs`)."""
+pairwise kernel (`pair_directions`) and the flat edge index (`edge_pairs`).
+
+A run advances B seeds of one graph together as a (B, 2, n) position array,
+so each numpy call's fixed cost is paid once per iteration, not once per
+seed; a single-seed run is the B = 1 case.  Both algorithms' schedules
+depend on the graph and the iteration only, so the seeds run in lockstep,
+and each seed's layouts are bitwise what its own run gives.  `PAIR_BLOCK`
+sizes the batches."""
 
 from __future__ import annotations
 
@@ -90,7 +97,7 @@ class RunRecord:
     wall_time_total: float
     wall_time_per_iteration: float
     final_layout: Layout
-    graph_id: str = ""  # the graph's corpus label; `bench.run_one` sets it
+    graph_id: str = ""  # the graph's corpus label; `bench.run_batch` sets it
     metrics: Optional["MetricsReport"] = None
     # Layout captured at the end of the sync phase (SnB only).
     sync_end_layout: Optional[Layout] = None
@@ -101,67 +108,87 @@ class RunRecord:
 def iterate(
     g: Graph,
     algorithm: str,
-    seed: int,
+    seeds,
     positions,
     *,
     capture_every: int = 0,
     sync_end: int = 0,
-) -> RunRecord:
-    """Run one layout algorithm from `initial_layout(g, seed)` and record it.
+) -> list[RunRecord]:
+    """Run one layout algorithm from `initial_layout(g, seed)` for each of
+    the B `seeds` together, and record each seed's run.
 
     `positions(start, ws)` is the algorithm's own iteration: a generator
-    that takes the start as a C-contiguous (2, n) array and the run's
-    `PairWorkspace`, and yields the (2, n) positions after iterations 1,
-    2, ...; the number of yields is the iteration count.  Every iterate must
-    be finite (else `NumericError`).  The layout after iteration `sync_end`
-    (0: none) and every `capture_every`-th one (0: none) are kept.  Only the
-    loop is timed: the start and the workspace are made before the clock.
+    that takes the starts as a C-contiguous (B, 2, n) array, row k holding
+    the x and y rows of seed k, and the run's `PairWorkspace`, and yields the
+    (B, 2, n) positions after iterations 1, 2, ...; the number of yields is
+    the iteration count.  Every iterate must be finite (else `NumericError`,
+    naming the seeds whose rows are not).  The layout after iteration
+    `sync_end` (0: none) and every `capture_every`-th one (0: none) are kept
+    per seed.  Only the loop is timed: the starts and the workspace are made
+    before the clock.  Returns one record per seed, in order; each gets the
+    loop's wall time divided by B.
     """
-    pos = np.ascontiguousarray(initial_layout(g, seed).coords.T)
-    ws = PairWorkspace(g.n)
-    sync_end_layout = None
-    trajectory = []
+    seeds = tuple(seeds)
+    pos = np.stack([initial_layout(g, seed).coords.T for seed in seeds])
+    ws = PairWorkspace(g.n, len(seeds))
+    sync_end_layouts = [None] * len(seeds)
+    trajectories = [[] for _ in seeds]
     start = time.perf_counter()
     for t, pos in enumerate(positions(pos, ws), start=1):
         if not np.isfinite(pos).all():
-            raise NumericError(f"non-finite coordinates at {algorithm} iteration {t}")
+            bad = [seed for seed, row in zip(seeds, pos) if not np.isfinite(row).all()]
+            raise NumericError(
+                f"non-finite coordinates at {algorithm} iteration {t} for seed(s) {bad}"
+            )
         if t == sync_end:
-            sync_end_layout = Layout(pos.T, t)
+            sync_end_layouts = [Layout(row.T, t) for row in pos]
         if capture_every and t % capture_every == 0:
-            trajectory.append((t, Layout(pos.T, t)))
-    elapsed = time.perf_counter() - start
-    return RunRecord(
-        algorithm=algorithm,
-        seed=seed,
-        n=g.n,
-        m=g.m,
-        iterations=t,
-        wall_time_total=elapsed,
-        wall_time_per_iteration=elapsed / t,
-        final_layout=Layout(pos.T, t),
-        sync_end_layout=sync_end_layout,
-        trajectory=trajectory,
-    )
+            for trajectory, row in zip(trajectories, pos):
+                trajectory.append((t, Layout(row.T, t)))
+    elapsed = (time.perf_counter() - start) / len(seeds)
+    return [
+        RunRecord(
+            algorithm=algorithm,
+            seed=seed,
+            n=g.n,
+            m=g.m,
+            iterations=t,
+            wall_time_total=elapsed,
+            wall_time_per_iteration=elapsed / t,
+            final_layout=Layout(row.T, t),
+            sync_end_layout=sync_end_layout,
+            trajectory=trajectory,
+        )
+        for seed, row, sync_end_layout, trajectory in zip(
+            seeds, pos, sync_end_layouts, trajectories
+        )
+    ]
+
+
+# Pair entries (seeds x vertex pairs) one kernel call should cover: a graph's
+# seeds run in batches of max(1, PAIR_BLOCK // n^2).  Batches stop paying
+# once a call's fixed cost is small next to its n^2 work.
+PAIR_BLOCK = 1 << 15
 
 
 class PairWorkspace:
     """The arrays `pair_directions` writes into; `iterate` makes one per run.
 
-    For n vertices it holds 4 n^2 float64 values (32 n^2 bytes): `u`, the
-    (2, n, n) coordinate differences that are divided in place into unit
-    directions; `d`, the (n, n) distances; and `scratch`, an (n, n) array
-    the kernel uses during a call and leaves to the caller between calls
-    (FR builds its force coefficients there).  `d_diagonal` and
-    `scratch_diagonal` are writable views of those diagonals.  `coincident`
-    tells whether the last call took the coincident-pair path.
+    For B seeds of n vertices it holds 4 B n^2 float64 values (32 B n^2
+    bytes): `u`, the (B, 2, n, n) coordinate differences that are divided in
+    place into unit directions; `d`, the (B, n, n) distances; and `scratch`,
+    a (B, n, n) array the kernel uses during a call and leaves to the caller
+    between calls (FR builds its force coefficients there).  `d_diagonal`
+    and `scratch_diagonal` are writable (B, n) views of the diagonals.
+    `coincident` tells whether the last call took the coincident-pair path.
     """
 
-    def __init__(self, n: int):
-        self.u = np.empty((2, n, n))
-        self.d = np.empty((n, n))
-        self.scratch = np.empty((n, n))
-        self.d_diagonal = self.d.reshape(-1)[:: n + 1]
-        self.scratch_diagonal = self.scratch.reshape(-1)[:: n + 1]
+    def __init__(self, n: int, b: int):
+        self.u = np.empty((b, 2, n, n))
+        self.d = np.empty((b, n, n))
+        self.scratch = np.empty((b, n, n))
+        self.d_diagonal = self.d.reshape(b, -1)[:, :: n + 1]
+        self.scratch_diagonal = self.scratch.reshape(b, -1)[:, :: n + 1]
         self.coincident = False
 
 
@@ -172,41 +199,43 @@ def edge_pairs(g: Graph) -> np.ndarray:
     return np.concatenate((ends[0] * g.n + ends[1], ends[1] * g.n + ends[0]))
 
 
-def pair_directions(pos: np.ndarray, iteration: int, seed: int, ws: PairWorkspace):
-    """Unit directions and distances between all vertex pairs.
+def pair_directions(pos: np.ndarray, iteration: int, seeds, ws: PairWorkspace):
+    """Unit directions and distances between all vertex pairs of B layouts.
 
-    `pos` is a C-contiguous (2, n) array of x and y rows.  Returns `(u, d)`:
-    `u` is (2, n, n) and `u[:, i, j]` the unit direction from vertex i to
-    vertex j, zero on the diagonal; `d` is the (n, n) distance matrix with a
-    diagonal of 1.  Both are `ws.u` and `ws.d`, overwritten by the next call
-    on `ws`.  A coincident pair keeps d == 0 and gets the deterministic
-    direction hash_angle(seed, iteration, i, j) for i < j, negated for (j, i),
-    so the two contributions stay exactly opposite.  sqrt of the exact sum of
-    squares (not hypot) keeps u bitwise invariant under exact power-of-two
-    rescaling of the input.
+    `pos` is a C-contiguous (B, 2, n) array; row k holds the x and y rows of
+    layout k, which was started from `seeds[k]`.  Returns `(u, d)`: `u` is
+    (B, 2, n, n) and `u[k, :, i, j]` the unit direction from vertex i to
+    vertex j in layout k, zero on the diagonal; `d` is the (B, n, n) distance
+    matrix with a diagonal of 1.  Both are `ws.u` and `ws.d`, overwritten by
+    the next call on `ws`.  A coincident pair keeps d == 0 and gets the
+    deterministic direction hash_angle(seeds[k], iteration, i, j) for i < j,
+    negated for (j, i), so the two contributions stay exactly opposite.
+    sqrt of the exact sum of squares (not hypot) keeps u bitwise invariant
+    under exact power-of-two rescaling of the input.  Every entry depends on
+    its own layout only, so a layout gives the same bits in any batch.
     """
     u, d, scratch = ws.u, ws.d, ws.scratch
-    # u[c, i, j] = pos[c, j] - pos[c, i]: copy the rows, then subtract in
-    # place.  One subtract that broadcasts both operands gives the same bits
-    # but runs its inner loop over a stride-0 operand and is slower.
-    np.copyto(u, pos[:, None, :])
-    np.subtract(u, pos[:, :, None], out=u)
-    dx, dy = u
-    np.square(dx, out=scratch)
-    np.square(dy, out=d)
+    # u[k, c, i, j] = pos[k, c, j] - pos[k, c, i]: copy the rows, then
+    # subtract in place.  One subtract that broadcasts both operands gives
+    # the same bits but runs its inner loop over a stride-0 operand and is
+    # slower.
+    np.copyto(u, pos[:, :, None, :])
+    np.subtract(u, pos[:, :, :, None], out=u)
+    np.square(u[:, 0], out=scratch)
+    np.square(u[:, 1], out=d)
     np.add(scratch, d, out=d)
     np.sqrt(d, out=d)
     ws.d_diagonal[...] = 1.0
     ws.coincident = not d.min() > 0.0
     if not ws.coincident:
-        np.divide(u, d, out=u)
+        np.divide(u, d[:, None], out=u)
         return u, d
     coincident = d == 0.0
     np.copyto(scratch, d)
     scratch[coincident] = 1.0
-    np.divide(u, scratch, out=u)
-    for i, j in zip(*np.nonzero(np.triu(coincident))):
-        theta = hash_angle(seed, iteration, int(i), int(j))
-        u[:, i, j] = math.cos(theta), math.sin(theta)
-        u[:, j, i] = -u[:, i, j]
+    np.divide(u, scratch[:, None], out=u)
+    for k, i, j in zip(*np.nonzero(np.triu(coincident))):
+        theta = hash_angle(seeds[k], iteration, int(i), int(j))
+        u[k, :, i, j] = math.cos(theta), math.sin(theta)
+        u[k, :, j, i] = -u[k, :, i, j]
     return u, d

@@ -13,13 +13,15 @@ which stays in range; `magnitude` returns inf, and `total_magnitude_curve`
 writes inf totals but keeps the sign of f.  Every step output is
 renormalized (zero centroid, unit max-extent); this is exactly
 trajectory-preserving because the step depends only on directions between
-points.  Inside the loop the coordinates are a C-contiguous (2, n)
-float64 array of x and y rows, and the directions come from
-`layout.pair_directions`, which the FR baseline shares; the attraction
-goes through a dense adjacency set on the flat `layout.edge_pairs`.
-`snb_run` holds only the SnB iteration, as a generator of positions;
-`layout.iterate` gives it the workspace and starts, times, checks,
-snapshots and records it, as it does for FR.
+points.  Inside the loop the coordinates of B seeds' layouts are a
+C-contiguous (B, 2, n) float64 array of x and y rows: s, the sync length
+and M(t) depend on the graph only, so the seeds share one schedule.  The
+directions come from `layout.pair_directions`, which the FR baseline
+shares; the attraction goes through one dense adjacency, set on the flat
+`layout.edge_pairs`, that serves the whole batch.  `snb_run` holds only
+the SnB iteration, as a generator of positions; `layout.iterate` gives it
+the workspace and starts, times, checks, snapshots and records it, as it
+does for FR.
 """
 
 from __future__ import annotations
@@ -169,20 +171,22 @@ def _adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def _step(u, adj, ratio):
-    """One Sync-and-Burst iteration from the unit directions `u` of
-    `layout.pair_directions`.
+    """One Sync-and-Burst iteration of B layouts from their unit directions
+    `u`, (B, 2, n, n) as `layout.pair_directions` gives them.
 
-    `ratio` is the attraction:repulsion magnitude ratio m*M^(-0.1); the
+    `ratio` is the attraction:repulsion magnitude ratio m*M^(-0.1), which
+    depends on the graph and t only, so one value serves the batch; the
     common factor M is dropped since the output is renormalized anyway.
-    Returns the renormalized (zero centroid, unit max-extent) (2, n) array.
+    Returns the (B, 2, n) array, each layout renormalized on its own (zero
+    centroid, unit max-extent).
     """
     # Force sum per vertex: ratio on adjacent pairs minus 1 on all pairs.
     # u has a zero diagonal, so the i = j terms drop out by themselves.
-    f = ratio * np.einsum("ij,cij->ci", adj, u) - u.sum(axis=2)
-    f -= f.sum(axis=1, keepdims=True) / f.shape[1]
-    extent = (f.max(axis=1) - f.min(axis=1)).max()
-    if extent > 0.0:
-        f /= extent
+    f = ratio * np.einsum("ij,bcij->bci", adj, u) - u.sum(axis=3)
+    f -= f.sum(axis=2, keepdims=True) / f.shape[2]
+    extent = (f.max(axis=2) - f.min(axis=2)).max(axis=1)
+    # A layout whose extent is 0 stays as it is: x / 1.0 is exactly x.
+    f /= np.where(extent > 0.0, extent, 1.0)[:, None, None]
     return f
 
 
@@ -194,27 +198,33 @@ def snb_step(g: Graph, prev: Layout, magnitude_prev: float, p: SnbParams) -> Lay
     if not magnitude_prev > 0.0:
         raise ValueError("magnitude_prev must be positive")
     ratio = g.m * magnitude_prev ** (ATTRACTION_EXPONENT - 1.0)
-    pos = np.ascontiguousarray(prev.coords.T)
-    u, _ = pair_directions(pos, prev.iteration, p.seed, PairWorkspace(g.n))
-    return Layout(_step(u, _adjacency_matrix(g), ratio).T, prev.iteration + 1)
+    pos = np.ascontiguousarray(prev.coords.T)[None]
+    u, _ = pair_directions(pos, prev.iteration, (p.seed,), PairWorkspace(g.n, 1))
+    return Layout(_step(u, _adjacency_matrix(g), ratio)[0].T, prev.iteration + 1)
 
 
 def snb_run(
     g: Graph,
     params: SnbParams | None = None,
     *,
+    seeds=None,
     capture_every: int = 0,
-) -> RunRecord:
+) -> RunRecord | list[RunRecord]:
     """Full Sync-and-Burst run: total_multiplier*n steps from a seeded random layout.
 
     Deterministic given (g, params).  Per the pseudocode convention, the
     step at iteration t uses M(t-1), starting from M(0) = 1/m, and hashes
     coincident pairs with index t-1.  The layout at the end of the sync
     phase is kept; with `capture_every` = k > 0 so is every k-th layout.
+    Returns the RunRecord of seed `params.seed`.  With `seeds`, runs those
+    seeds instead (`params.seed` unused) as one batch: the schedule and the
+    sync length do not depend on the seed, and each seed's record is bitwise
+    what its own run gives.  Returns their records, in order.
     """
     _require_schedulable(g)
     if params is None:
         params = SnbParams(sync_param=compute_sync_param(g))
+    batch = (params.seed,) if seeds is None else tuple(seeds)
     log_m = math.log(g.m)
     adj = _adjacency_matrix(g)
 
@@ -222,13 +232,14 @@ def snb_run(
         log_mag_prev = -log_m  # M(0) = 1/m
         for t in range(1, params.total_multiplier * g.n + 1):
             ratio = math.exp(log_m + (ATTRACTION_EXPONENT - 1.0) * log_mag_prev)
-            u, _ = pair_directions(pos, t - 1, params.seed, ws)
+            u, _ = pair_directions(pos, t - 1, batch, ws)
             pos = _step(u, adj, ratio)
             yield pos
             log_mag_prev = log_magnitude(t, g, params)
 
-    return iterate(
-        g, "snb", params.seed, positions,
+    records = iterate(
+        g, "snb", batch, positions,
         capture_every=capture_every,
         sync_end=sync_phase_iterations(g, params),
     )
+    return records[0] if seeds is None else records

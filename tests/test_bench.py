@@ -18,6 +18,7 @@ from snburst import (
     run_one,
     snb_run,
 )
+from snburst import bench, layout, snb
 from snburst.bench import (
     ALGORITHMS,
     BUCKET_FIELDS,
@@ -25,6 +26,7 @@ from snburst.bench import (
     buckets_to_csv,
     load_graph_file,
     records_to_csv,
+    run_batch,
 )
 
 PATH4 = "0 1\n1 2\n2 3\n"
@@ -169,6 +171,61 @@ class TestRunCorpus:
         assert np.array_equal(by_id["bom.txt"].final_layout.coords,
                               by_id["cycle5.txt"].final_layout.coords)
         assert (by_id["bom.graphml"].n, by_id["bom.graphml"].m) == (3, 3)
+
+
+class TestBatches:
+    def test_run_batch_gives_records_in_seed_order(self):
+        g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)))
+        for alg in ALGORITHMS:
+            records = run_batch(g, alg, (2, 0, 1), graph_id="c5")
+            assert [r.seed for r in records] == [2, 0, 1]
+            assert all(r.graph_id == "c5" and r.metrics is not None for r in records)
+            # The batch loop's time, shared equally.
+            assert len({r.wall_time_total for r in records}) == 1
+            for r in records:
+                alone = run_one(g, alg, r.seed)
+                assert np.array_equal(r.final_layout.coords, alone.final_layout.coords)
+
+    def test_batch_size_does_not_change_records(self, tmp_path, monkeypatch):
+        # Graphs of n = 5, 4 and 3; five seeds each.  PAIR_BLOCK = 50 gives
+        # batches of 2, 3 and 5 seeds, so some batches are partial.
+        corpus = make_corpus(tmp_path)
+        sizes = []
+        run = bench.snb_run
+
+        def spy(g, params, *, seeds):
+            sizes.append((g.n, len(seeds)))
+            return run(g, params, seeds=seeds)
+
+        monkeypatch.setattr(bench, "snb_run", spy)
+        tables = {}
+        for budget in (1, 50, 1 << 15):
+            monkeypatch.setattr(layout, "PAIR_BLOCK", budget)
+            sizes.clear()
+            rows = list(csv.DictReader(io.StringIO(
+                records_to_csv(run_corpus(corpus, seeds_per_graph=5))
+            )))
+            for row in rows:
+                del row["wall_time_total"], row["wall_time_per_iteration"]
+            tables[budget] = rows
+            if budget == 50:
+                assert sorted(sizes) == [(3, 5), (4, 2), (4, 3), (5, 1), (5, 2), (5, 2)]
+            else:
+                assert {k for _, k in sizes} == ({1} if budget == 1 else {5})
+        assert tables[1] == tables[50] == tables[1 << 15]
+        assert len(tables[1]) == 3 * 2 * 5
+
+    def test_sync_param_computed_once_per_graph(self, tmp_path, monkeypatch):
+        corpus = make_corpus(tmp_path)
+        calls = []
+        real = snb.betweenness
+        monkeypatch.setattr(snb, "betweenness", lambda g: calls.append(g.n) or real(g))
+        monkeypatch.setattr(layout, "PAIR_BLOCK", 1)  # one batch per seed
+        run_corpus(corpus, seeds_per_graph=3)
+        assert sorted(calls) == [3, 4, 5]
+        calls.clear()
+        run_corpus(corpus, algorithms=("fr",), seeds_per_graph=3)
+        assert calls == []
 
 
 class TestBucketize:

@@ -1,12 +1,17 @@
 """Every job of `make_golden.JOBS` still gives the digest stored in
 `golden/identity.json`: layouts and metrics are bitwise what they were when
-the file was written."""
+the file was written.  Run in a batch with another seed, a job still gives
+its digest."""
 
 import json
 
 import pytest
 
 import make_golden
+from conftest import lattice_coords
+from snburst import Layout
+from snburst import layout as layout_mod
+from snburst.bench import run_batch
 
 GOLDEN = json.loads(make_golden.GOLDEN.read_text())
 
@@ -23,3 +28,29 @@ def test_identity_digest(key):
         f"and SIMD {' '.join(GOLDEN['simd'])}; running numpy {running['numpy']} "
         f"and SIMD {' '.join(running['simd'])}"
     )
+
+
+@pytest.mark.parametrize("name", list(make_golden.GRAPHS))
+@pytest.mark.parametrize("algorithm", ["snb", "fr"])
+def test_batch_of_two_seeds_keeps_each_digest(name, algorithm):
+    records = run_batch(make_golden.GRAPHS[name](), algorithm, (0, 1))
+    assert [r.seed for r in records] == [0, 1]
+    for r in records:
+        assert make_golden.record_digest(r) == GOLDEN["jobs"][f"{algorithm}-{name}-{r.seed}"]
+
+
+@pytest.mark.parametrize("algorithm", ["snb", "fr"])
+def test_mixed_lattice_and_seeded_batch(monkeypatch, algorithm):
+    # Seed 0 starts on the 3 x 3 lattice (coincident pairs), seed 1 from
+    # its seeded random start, both in one batch.
+    name = make_golden.LATTICE_GRAPH
+    g = make_golden.GRAPHS[name]()
+    lattice = Layout(lattice_coords(g.n))
+    seeded = layout_mod.initial_layout
+    monkeypatch.setattr(
+        layout_mod, "initial_layout", lambda g, seed: lattice if seed == 0 else seeded(g, seed)
+    )
+    lattice_record, seeded_record = run_batch(g, algorithm, (0, 1))
+    jobs = GOLDEN["jobs"]
+    assert make_golden.record_digest(lattice_record) == jobs[f"{algorithm}-{name}-lattice-0"]
+    assert make_golden.record_digest(seeded_record) == jobs[f"{algorithm}-{name}-1"]

@@ -1,8 +1,9 @@
 """The in-place pairwise kernel and the runs built on it: every frame of
-`fr_run` and `snb_run` is bitwise equal to the frozen dense iterations in
-`oracles`, a reused workspace gives what a fresh one gives, `iterate` makes
-the workspace before its clock starts, and a run allocates no n x n array
-beyond its workspace."""
+`fr_run` and `snb_run`, alone or in a batch of seeds, is bitwise equal to
+the frozen dense iterations in `oracles`, a reused workspace gives what a
+fresh one gives, `iterate` makes the workspace before its clock starts and
+names the seeds whose rows go non-finite, and a run allocates no n x n
+array beyond its workspace."""
 
 import math
 import random
@@ -14,7 +15,17 @@ import pytest
 
 import oracles
 from conftest import lattice_coords, random_graph
-from snburst import FrParams, Layout, SnbParams, fr_run, gen_queen, gen_scale_free, snb_run
+from snburst import (
+    FrParams,
+    Graph,
+    Layout,
+    NumericError,
+    SnbParams,
+    fr_run,
+    gen_queen,
+    gen_scale_free,
+    snb_run,
+)
 from snburst import layout as layout_mod
 from snburst.layout import PairWorkspace, initial_layout, pair_directions
 from snburst.snb import ATTRACTION_EXPONENT, log_magnitude
@@ -26,27 +37,40 @@ def frames(record, start):
     return [np.ascontiguousarray(c.T) for c in coords]
 
 
-def check_fr_frames(g, params, start):
-    r = fr_run(g, params, capture_every=1)
-    pos = frames(r, start)
-    assert len(pos) == r.iterations + 1
+def captured_records(run, g, params, seeds):
+    """`run`'s records with every frame captured: params.seed's alone when
+    `seeds` is None, else one per seed from one batch."""
+    if seeds is None:
+        return [run(g, params, capture_every=1)]
+    return run(g, params, seeds=seeds, capture_every=1)
+
+
+def check_fr_frames(g, params, start, seeds=None):
+    """`start(seed)` is the Layout the seed's run starts from."""
     adj = oracles.dense_adjacency(g)
-    for t in range(1, len(pos)):
-        want = oracles.dense_fr_iteration(adj, pos[t - 1], t, r.iterations, params.seed)
-        assert np.array_equal(pos[t], want), f"FR frame {t}"
+    for r in captured_records(fr_run, g, params, seeds):
+        pos = frames(r, start(r.seed))
+        assert len(pos) == r.iterations + 1
+        for t in range(1, len(pos)):
+            want = oracles.dense_fr_iteration(adj, pos[t - 1], t, r.iterations, r.seed)
+            assert np.array_equal(pos[t], want), f"FR seed {r.seed} frame {t}"
 
 
-def check_snb_frames(g, params, start):
-    r = snb_run(g, params, capture_every=1)
-    pos = frames(r, start)
-    assert len(pos) == r.iterations + 1
+def check_snb_frames(g, params, start, seeds=None):
     adj = oracles.dense_adjacency(g)
     log_m = math.log(g.m)
-    for t in range(1, len(pos)):
-        log_mag_prev = -log_m if t == 1 else log_magnitude(t - 1, g, params)
-        ratio = math.exp(log_m + (ATTRACTION_EXPONENT - 1.0) * log_mag_prev)
-        want = oracles.dense_snb_step(adj, pos[t - 1], t - 1, params.seed, ratio)
-        assert np.array_equal(pos[t], want), f"SnB frame {t}"
+    for r in captured_records(snb_run, g, params, seeds):
+        pos = frames(r, start(r.seed))
+        assert len(pos) == r.iterations + 1
+        for t in range(1, len(pos)):
+            log_mag_prev = -log_m if t == 1 else log_magnitude(t - 1, g, params)
+            ratio = math.exp(log_m + (ATTRACTION_EXPONENT - 1.0) * log_mag_prev)
+            want = oracles.dense_snb_step(adj, pos[t - 1], t - 1, r.seed, ratio)
+            assert np.array_equal(pos[t], want), f"SnB seed {r.seed} frame {t}"
+
+
+def seeded_start(g):
+    return lambda seed: initial_layout(g, seed)
 
 
 class TestFramesMatchDenseOracle:
@@ -57,7 +81,7 @@ class TestFramesMatchDenseOracle:
             m = 0 if seed < 3 else rng.randint(1, n * (n - 1) // 2)
             g = random_graph(n, m, rng)
             params = FrParams(seed=seed, total_multiplier=3)
-            check_fr_frames(g, params, initial_layout(g, seed))
+            check_fr_frames(g, params, seeded_start(g))
 
     def test_snb_random_graphs(self):
         rng = random.Random(32)
@@ -65,7 +89,7 @@ class TestFramesMatchDenseOracle:
             n = rng.randint(2, 16)
             g = random_graph(n, rng.randint(1, n * (n - 1) // 2), rng)
             params = SnbParams(sync_param=rng.uniform(0.5, 2.0), seed=seed, total_multiplier=5)
-            check_snb_frames(g, params, initial_layout(g, seed))
+            check_snb_frames(g, params, seeded_start(g))
 
     def test_fr_dense_edges_bytes(self):
         # Queen 12 x 12 (m = 2596): the edge scatter writes 5192 of the
@@ -85,22 +109,43 @@ class TestFramesMatchDenseOracle:
         rng = random.Random(n)
         for seed in range(3):
             g = random_graph(n, rng.randint(1, 2 * n), rng)
-            check_fr_frames(g, FrParams(seed=seed, total_multiplier=2), start)
-            check_snb_frames(g, SnbParams(sync_param=1.0, seed=seed, total_multiplier=3), start)
+            check_fr_frames(g, FrParams(seed=seed, total_multiplier=2), lambda seed: start)
+            check_snb_frames(
+                g, SnbParams(sync_param=1.0, seed=seed, total_multiplier=3), lambda seed: start
+            )
+
+    @pytest.mark.parametrize("n", [9, 14])
+    def test_batches_of_three(self, monkeypatch, n):
+        # Each batch mixes a lattice start (even seeds: coincident pairs
+        # from the first iteration at n = 14) with random ones, so the
+        # batch takes the coincident path while some of its rows have none.
+        lattice = Layout(lattice_coords(n))
+
+        def start(seed):
+            # `initial_layout` is this module's name for the unpatched start.
+            return lattice if seed % 2 == 0 else initial_layout(Graph(n, ()), seed)
+
+        monkeypatch.setattr(layout_mod, "initial_layout", lambda g, seed: start(seed))
+        rng = random.Random(n)
+        for first in (0, 3):
+            seeds = (first, first + 1, first + 2)
+            g = random_graph(n, rng.randint(1, 2 * n), rng)
+            check_fr_frames(g, FrParams(total_multiplier=2), start, seeds)
+            check_snb_frames(g, SnbParams(sync_param=1.0, total_multiplier=3), start, seeds)
 
 
 class TestWorkspaceReuse:
     def test_reuse_matches_fresh_calls(self):
         n = 12
-        coincident = np.ascontiguousarray(lattice_coords(n).T)
-        distinct = np.random.default_rng(0).random((2, n))
-        ws = PairWorkspace(n)
+        coincident = np.ascontiguousarray(lattice_coords(n).T)[None]
+        distinct = np.random.default_rng(0).random((1, 2, n))
+        ws = PairWorkspace(n, 1)
 
         def check(pos, iteration, want_coincident):
-            u, d = pair_directions(pos, iteration, 5, ws)
+            u, d = pair_directions(pos, iteration, (5,), ws)
             assert np.shares_memory(u, ws.u) and np.shares_memory(d, ws.d)
             assert ws.coincident is want_coincident
-            fresh_u, fresh_d = pair_directions(pos, iteration, 5, PairWorkspace(n))
+            fresh_u, fresh_d = pair_directions(pos, iteration, (5,), PairWorkspace(n, 1))
             assert np.array_equal(u, fresh_u)
             assert np.array_equal(d, fresh_d)
             return d
@@ -120,8 +165,8 @@ def test_iterate_makes_workspace_before_clock_and_passes_it_on(monkeypatch):
     events = []
 
     class RecordingWorkspace(PairWorkspace):
-        def __init__(self, n):
-            super().__init__(n)
+        def __init__(self, n, b):
+            super().__init__(n, b)
             events.append(self)
 
     class RecordingClock:
@@ -138,7 +183,7 @@ def test_iterate_makes_workspace_before_clock_and_passes_it_on(monkeypatch):
         given.append(ws)
         yield pos
 
-    layout_mod.iterate(gen_queen(3, 3), "probe", 0, positions)
+    layout_mod.iterate(gen_queen(3, 3), "probe", (0,), positions)
     assert len(events) == 3 and events[1:] == ["clock", "clock"]
     assert len(given) == 1 and given[0] is events[0]
 
@@ -166,3 +211,39 @@ def test_allocation_ceiling(algorithm, ceiling):
     finally:
         tracemalloc.stop()
     assert peak / (8 * g.n * g.n) < ceiling
+
+
+@pytest.mark.parametrize("algorithm", ["fr", "snb"])
+def test_batched_allocation_ceiling(algorithm):
+    # A paper-size batch (n = 100, B = 3) holds its (B, ...) workspace of
+    # 4 B n^2 doubles, and SnB its n x n adjacency.  All else must fit in one
+    # more n x n array plus the fixed-size buffer numpy's ufunc iterator
+    # takes for a broadcast operand (`np.getbufsize()` elements, 64 KiB by
+    # default: 0.82 n^2 doubles at this n, whatever B is).  One more n x n
+    # temporary per iteration, or any (B, n, n) one, goes over.
+    g = gen_scale_free(100, 2, seed=0)
+    seeds = (0, 1, 2)
+    tracemalloc.start()
+    try:
+        if algorithm == "fr":
+            fr_run(g, FrParams(total_multiplier=1), seeds=seeds)
+        else:
+            snb_run(g, SnbParams(sync_param=0.25, total_multiplier=1), seeds=seeds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    square = 8 * g.n * g.n
+    arrays = 4 * len(seeds) + (2 if algorithm == "snb" else 1)
+    assert peak < arrays * square + 8 * np.getbufsize()
+
+
+def test_non_finite_row_names_algorithm_iteration_and_seed():
+    # Seed 7's row goes non-finite at iteration 2; the other rows stay finite.
+    def positions(pos, ws):
+        yield pos
+        pos = pos.copy()
+        pos[1, 0, 2] = np.nan
+        yield pos
+
+    with pytest.raises(NumericError, match=r"probe iteration 2 for seed\(s\) \[7\]$"):
+        layout_mod.iterate(gen_queen(3, 3), "probe", (6, 7, 8), positions)

@@ -80,8 +80,10 @@ class TestPairDirections:
     def test_unit_antisymmetric_zero_diagonal(self):
         rng = random.Random(6)
         coords = random_layout_coords(12, rng)
-        u, d = pair_directions(np.ascontiguousarray(coords.T), 3, 1, PairWorkspace(12))
-        assert u.shape == (2, 12, 12) and d.shape == (12, 12)
+        pos = np.ascontiguousarray(coords.T)[None]
+        u, d = pair_directions(pos, 3, (1,), PairWorkspace(12, 1))
+        assert u.shape == (1, 2, 12, 12) and d.shape == (1, 12, 12)
+        u, d = u[0], d[0]
         assert np.all(np.diagonal(u, axis1=1, axis2=2) == 0.0)
         assert np.all(np.diag(d) == 1.0)
         assert np.array_equal(u, -u.transpose(0, 2, 1))
@@ -96,8 +98,9 @@ class TestPairDirections:
 
     def test_coincident_pairs_get_hashed_direction(self):
         # Vertices 0, 1 and 3 share one point; vertex 2 is elsewhere.
-        pos = np.array([[0.25, 0.25, 0.75, 0.25], [0.5, 0.5, 0.0, 0.5]])
-        u, d = pair_directions(pos, 7, 11, PairWorkspace(4))
+        pos = np.array([[[0.25, 0.25, 0.75, 0.25], [0.5, 0.5, 0.0, 0.5]]])
+        u, d = pair_directions(pos, 7, (11,), PairWorkspace(4, 1))
+        u, d = u[0], d[0]
         for i, j in ((0, 1), (0, 3), (1, 3)):
             assert d[i, j] == d[j, i] == 0.0
             theta = hash_angle(11, 7, i, j)
@@ -105,26 +108,47 @@ class TestPairDirections:
             assert np.array_equal(u[:, j, i], -u[:, i, j])
         assert d[0, 2] > 0.0 and np.allclose(np.hypot(u[0, 0, 2], u[1, 0, 2]), 1.0)
         # Own workspaces: one shared with `u` would make `again` alias it.
-        again, _ = pair_directions(pos, 7, 11, PairWorkspace(4))
-        assert np.array_equal(u, again)
-        later, _ = pair_directions(pos, 8, 11, PairWorkspace(4))
-        assert not np.array_equal(u[:, 0, 1], later[:, 0, 1])
+        again, _ = pair_directions(pos, 7, (11,), PairWorkspace(4, 1))
+        assert np.array_equal(u, again[0])
+        later, _ = pair_directions(pos, 8, (11,), PairWorkspace(4, 1))
+        assert not np.array_equal(u[:, 0, 1], later[0, :, 0, 1])
+
+    def test_coincident_pair_hashes_its_rows_seed(self):
+        # Rows 0 and 2 hold vertices 0 and 1 on one point, row 1 none.
+        pos = np.array([
+            [[0.25, 0.25, 0.75], [0.5, 0.5, 0.0]],
+            [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]],
+            [[0.25, 0.25, 0.75], [0.5, 0.5, 0.0]],
+        ])
+        seeds = (4, 5, 6)
+        u, d = pair_directions(pos, 2, seeds, PairWorkspace(3, 3))
+        for k in (0, 2):
+            assert d[k, 0, 1] == 0.0
+            theta = hash_angle(seeds[k], 2, 0, 1)
+            assert (u[k, 0, 0, 1], u[k, 1, 0, 1]) == (math.cos(theta), math.sin(theta))
+            alone, _ = pair_directions(pos[k:k + 1], 2, seeds[k:k + 1], PairWorkspace(3, 1))
+            assert u[k].tobytes() == alone[0].tobytes()
+        assert not np.array_equal(u[0], u[2])
+        assert np.all(d[1] > 0.0)
 
     @pytest.mark.parametrize("n, lattice", [(200, False), (40, True)])
     def test_bytes_match_dense_oracle_on_reused_workspace(self, n, lattice):
         # Benchmark-sized inputs, compared byte for byte so a -0.0 where the
         # oracle has +0.0 fails too.  The workspace is reused, with FR's
-        # between-call writes (clamped d, filled scratch) left in it.
+        # between-call writes (clamped d, filled scratch) left in it.  Row 0
+        # of the batch is the case's layout, row 1 a random one.
         rng = np.random.default_rng(n)
-        ws = PairWorkspace(n)
+        seeds = (9, 10)
+        ws = PairWorkspace(n, 2)
         for iteration in range(3):
-            pos = lattice_coords(n).T if lattice else rng.random((2, n))
-            pos = np.ascontiguousarray(pos)
-            u, d = pair_directions(pos, iteration, 9, ws)
+            first = lattice_coords(n).T if lattice else rng.random((2, n))
+            pos = np.ascontiguousarray(np.stack([first, rng.random((2, n))]))
+            u, d = pair_directions(pos, iteration, seeds, ws)
             assert ws.coincident is lattice
-            want_u, want_d = oracles.dense_pair_directions(pos, iteration, 9)
-            assert u.tobytes() == want_u.tobytes()
-            assert d.tobytes() == want_d.tobytes()
+            for k, seed in enumerate(seeds):
+                want_u, want_d = oracles.dense_pair_directions(pos[k], iteration, seed)
+                assert u[k].tobytes() == want_u.tobytes()
+                assert d[k].tobytes() == want_d.tobytes()
             d[d == 0.0] = 1e-9
             ws.scratch.fill(np.nan)
 
