@@ -49,6 +49,6 @@ from .metrics import (
     min_pair_distance_scaled,
     vertex_distribution,
 )
-from .bench import BucketSummary, CorpusError, bucketize, run_batch, run_corpus, run_one
+from .bench import BucketSummary, CorpusError, bucketize, run_corpus, run_one
 
 __version__ = "0.1.0"

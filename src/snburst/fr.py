@@ -25,6 +25,7 @@ from .graphs import Graph
 from .layout import (
     DegenerateGraphError,
     RunRecord,
+    batch_seeds,
     edge_pairs,
     iterate,
     pair_directions,
@@ -67,15 +68,15 @@ def fr_run(
     and a tiny separation distance; the resulting huge repulsion is
     harmless because displacement is capped by the temperature.  Returns
     the RunRecord of seed `params.seed`.  With `seeds`, runs those seeds
-    instead (`params.seed` unused) as one batch, since the temperature
-    depends only on t; each seed's record is bitwise what its own run gives.
-    Returns their records, in order.
+    instead (`params.seed` must then be left at 0) as one batch, since the
+    temperature depends only on t; each seed's record is bitwise what its
+    own run gives.  Returns their records, in order.
     """
     if g.n < 2:
         raise DegenerateGraphError("a single vertex needs no layout")
     if params is None:
         params = FrParams()
-    batch = (params.seed,) if seeds is None else tuple(seeds)
+    batch = batch_seeds(params.seed, seeds)
     total = params.total_multiplier * g.n
     k = math.sqrt(1.0 / g.n)
     t0 = INITIAL_TEMPERATURE

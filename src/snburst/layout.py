@@ -105,6 +105,17 @@ class RunRecord:
     trajectory: list = field(default_factory=list)
 
 
+def batch_seeds(seed: int, seeds) -> tuple:
+    """The seeds a run of `snb_run` or `fr_run` advances: its params' one
+    `seed` when `seeds` is None, else `seeds`.  A params seed other than the
+    default 0 beside `seeds` would name the run's seed twice: ValueError."""
+    if seeds is None:
+        return (seed,)
+    if seed != 0:
+        raise ValueError(f"give the seeds as params.seed or as seeds=, not both (params.seed={seed})")
+    return tuple(seeds)
+
+
 def iterate(
     g: Graph,
     algorithm: str,
@@ -165,10 +176,13 @@ def iterate(
     ]
 
 
-# Pair entries (seeds x vertex pairs) one kernel call should cover: a graph's
-# seeds run in batches of max(1, PAIR_BLOCK // n^2).  Batches stop paying
-# once a call's fixed cost is small next to its n^2 work.
-PAIR_BLOCK = 1 << 15
+# Pair entries (seeds x vertex pairs) one kernel call may cover: a graph's
+# seeds run in batches of max(1, PAIR_BLOCK // n^2), so a batch's workspace
+# stays within 32 * PAIR_BLOCK bytes (1.5 MiB) unless one seed needs more.
+# Set from timed SnB and FR runs at B = 1-4 and n = 100-256 (README, "The
+# pairwise kernel"): batches of up to about this many pair entries ran
+# faster per seed than one seed at a time, larger ones mostly did not.
+PAIR_BLOCK = 3 << 14
 
 
 class PairWorkspace:

@@ -37,6 +37,7 @@ from .layout import (
     Layout,
     PairWorkspace,
     RunRecord,
+    batch_seeds,
     edge_pairs,
     iterate,
     pair_directions,
@@ -217,14 +218,15 @@ def snb_run(
     coincident pairs with index t-1.  The layout at the end of the sync
     phase is kept; with `capture_every` = k > 0 so is every k-th layout.
     Returns the RunRecord of seed `params.seed`.  With `seeds`, runs those
-    seeds instead (`params.seed` unused) as one batch: the schedule and the
-    sync length do not depend on the seed, and each seed's record is bitwise
-    what its own run gives.  Returns their records, in order.
+    seeds instead (`params.seed` must then be left at 0) as one batch: the
+    schedule and the sync length do not depend on the seed, and each seed's
+    record is bitwise what its own run gives.  Returns their records, in
+    order.
     """
     _require_schedulable(g)
     if params is None:
         params = SnbParams(sync_param=compute_sync_param(g))
-    batch = (params.seed,) if seeds is None else tuple(seeds)
+    batch = batch_seeds(params.seed, seeds)
     log_m = math.log(g.m)
     adj = _adjacency_matrix(g)
 

@@ -247,3 +247,14 @@ def test_non_finite_row_names_algorithm_iteration_and_seed():
 
     with pytest.raises(NumericError, match=r"probe iteration 2 for seed\(s\) \[7\]$"):
         layout_mod.iterate(gen_queen(3, 3), "probe", (6, 7, 8), positions)
+
+
+@pytest.mark.parametrize("algorithm", ["fr", "snb"])
+def test_seed_given_twice_is_rejected(algorithm):
+    # A run's seeds come from params.seed or from seeds=, not from both.
+    g = gen_queen(3, 3)
+    with pytest.raises(ValueError, match="not both"):
+        if algorithm == "fr":
+            fr_run(g, FrParams(seed=3, total_multiplier=1), seeds=(0, 1))
+        else:
+            snb_run(g, SnbParams(sync_param=0.25, seed=3, total_multiplier=1), seeds=(0, 1))

@@ -135,22 +135,24 @@ class TestPairDirections:
     def test_bytes_match_dense_oracle_on_reused_workspace(self, n, lattice):
         # Benchmark-sized inputs, compared byte for byte so a -0.0 where the
         # oracle has +0.0 fails too.  The workspace is reused, with FR's
-        # between-call writes (clamped d, filled scratch) left in it.  Row 0
-        # of the batch is the case's layout, row 1 a random one.
+        # between-call writes (clamped d, filled scratch) left in it.  Both
+        # the one-seed batch and a two-row one run; row 0 is the case's
+        # layout, row 1 a random one.
         rng = np.random.default_rng(n)
-        seeds = (9, 10)
-        ws = PairWorkspace(n, 2)
-        for iteration in range(3):
-            first = lattice_coords(n).T if lattice else rng.random((2, n))
-            pos = np.ascontiguousarray(np.stack([first, rng.random((2, n))]))
-            u, d = pair_directions(pos, iteration, seeds, ws)
-            assert ws.coincident is lattice
-            for k, seed in enumerate(seeds):
-                want_u, want_d = oracles.dense_pair_directions(pos[k], iteration, seed)
-                assert u[k].tobytes() == want_u.tobytes()
-                assert d[k].tobytes() == want_d.tobytes()
-            d[d == 0.0] = 1e-9
-            ws.scratch.fill(np.nan)
+        for seeds in ((9,), (9, 10)):
+            ws = PairWorkspace(n, len(seeds))
+            for iteration in range(3):
+                first = lattice_coords(n).T if lattice else rng.random((2, n))
+                rows = [first] + [rng.random((2, n)) for _ in seeds[1:]]
+                pos = np.ascontiguousarray(np.stack(rows))
+                u, d = pair_directions(pos, iteration, seeds, ws)
+                assert ws.coincident is lattice
+                for k, seed in enumerate(seeds):
+                    want_u, want_d = oracles.dense_pair_directions(pos[k], iteration, seed)
+                    assert u[k].tobytes() == want_u.tobytes()
+                    assert d[k].tobytes() == want_d.tobytes()
+                d[d == 0.0] = 1e-9
+                ws.scratch.fill(np.nan)
 
 
 class TestStep:
