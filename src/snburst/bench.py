@@ -6,7 +6,6 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import layout
 from .fr import FrParams, fr_run
 from .graphs import Graph, GraphError, parse_edge_list, parse_graphml
 from .layout import DegenerateGraphError, RunRecord
@@ -63,21 +62,18 @@ def run_batch(
     seeds,
     graph_id: str = "",
     total_multiplier: int = 20,
-    *,
-    sync_param: float | None = None,
 ) -> list[RunRecord]:
-    """Run one algorithm on one graph for `seeds` as one batch, label each
-    record `graph_id` and attach its metric scorecard.
+    """Run one algorithm on one graph for `seeds`, label each record
+    `graph_id` and attach its metric scorecard.
 
-    SnB takes `sync_param` as its s, computed from `g` when None.  Only the
-    iteration loop is timed; parsing and metrics stay outside the clock so
-    per-iteration times isolate the layout work itself.  A record's wall
-    times are the batch loop's divided by the number of seeds.
+    SnB's s is computed from `g` once for all the seeds.  The seeds run in
+    the batches `layout.iterate` sizes.  Only the iteration loop is timed;
+    parsing and metrics stay outside the clock so per-iteration times
+    isolate the layout work itself.  A record's wall times are its batch
+    loop's divided by the batch's number of seeds.
     """
     if algorithm == "snb":
-        if sync_param is None:
-            sync_param = compute_sync_param(g)
-        params = SnbParams(sync_param=sync_param, total_multiplier=total_multiplier)
+        params = SnbParams(sync_param=compute_sync_param(g), total_multiplier=total_multiplier)
         records = snb_run(g, params, seeds=seeds)
     elif algorithm == "fr":
         records = fr_run(g, FrParams(total_multiplier=total_multiplier), seeds=seeds)
@@ -112,14 +108,14 @@ def run_corpus(
     """One RunRecord per (graph file, algorithm, seed), run one batch at a
     time so each record's wall times are uncontended.
 
-    A graph's seeds 0..seeds_per_graph-1 run in batches of
-    max(1, layout.PAIR_BLOCK // n^2) seeds (`run_batch`), and SnB's s is
-    computed once per graph.  Unreadable or unparseable files, and graphs
-    with n < 2 or m < 1 (on which every job would fail), are skipped with a
-    logged warning.  Records come back sorted by (graph_id, algorithm,
-    seed), so the record set is deterministic.  `workers` is kept only for
-    callers that still pass `workers=1` (the benchmark's
-    `perfbench/one_pass.py`); any other value raises ValueError.
+    Each (graph, algorithm) is one `run_batch` call over seeds
+    0..seeds_per_graph-1, so SnB's s is computed once per graph.
+    Unreadable or unparseable files, and graphs with n < 2 or m < 1 (on
+    which every job would fail), are skipped with a logged warning.  Records
+    come back sorted by (graph_id, algorithm, seed), so the record set is
+    deterministic.  `workers` is kept only for callers that still pass
+    `workers=1` (the benchmark's `perfbench/one_pass.py`); any other value
+    raises ValueError.
     """
     if workers != 1:
         raise ValueError(f"run_corpus runs its jobs serially; workers must be 1, got {workers}")
@@ -140,14 +136,8 @@ def run_corpus(
         raise CorpusError(f"no usable graph files in {directory}")
     records = []
     for gid, g in graphs:
-        per_batch = max(1, layout.PAIR_BLOCK // (g.n * g.n))
-        sync_param = compute_sync_param(g) if "snb" in algorithms else None
         for alg in algorithms:
-            for first in range(0, seeds_per_graph, per_batch):
-                seeds = range(first, min(first + per_batch, seeds_per_graph))
-                records += run_batch(
-                    g, alg, seeds, gid, total_multiplier, sync_param=sync_param
-                )
+            records += run_batch(g, alg, range(seeds_per_graph), gid, total_multiplier)
     # ALGORITHMS is ("snb", "fr"), which is not sorted order.
     records.sort(key=lambda r: (r.graph_id, r.algorithm, r.seed))
     return records

@@ -8,9 +8,9 @@ Sync-and-Burst, so per-iteration timing comparisons are apples to apples.
 `fr_run` holds only the FR iteration, as a generator of positions; the
 seeded start, the workspace, the clock, the finiteness check, the
 trajectory and the record come from `layout.iterate`, the loop SnB runs in
-too.  It advances B seeds as one (B, 2, n) array, since the temperature
-depends on t only; the displacement norm, its cap and the clip act per
-seed and vertex.  Attraction is added only on the edges' flat
+too.  It advances a batch of B seeds as one (B, 2, n) array, since the
+temperature depends on t only; the displacement norm, its cap and the clip
+act per seed and vertex.  Attraction is added only on the edges' flat
 `layout.edge_pairs`, offset by k n^2 for batch row k.
 """
 
@@ -68,26 +68,27 @@ def fr_run(
     and a tiny separation distance; the resulting huge repulsion is
     harmless because displacement is capped by the temperature.  Returns
     the RunRecord of seed `params.seed`.  With `seeds`, runs those seeds
-    instead (`params.seed` must then be left at 0) as one batch, since the
-    temperature depends only on t; each seed's record is bitwise what its
-    own run gives.  Returns their records, in order.
+    instead (`params.seed` must then be left at 0) in the batches
+    `layout.iterate` sizes, since the temperature depends only on t; each
+    seed's record is bitwise what its own run gives.  Returns their records,
+    in order.
     """
     if g.n < 2:
         raise DegenerateGraphError("a single vertex needs no layout")
     if params is None:
         params = FrParams()
-    batch = batch_seeds(params.seed, seeds)
     total = params.total_multiplier * g.n
     k = math.sqrt(1.0 / g.n)
     t0 = INITIAL_TEMPERATURE
-    # The edges' flat indices into the (B, n, n) workspace arrays.
-    edges = (edge_pairs(g) + g.n * g.n * np.arange(len(batch))[:, None]).reshape(-1)
+    pairs = edge_pairs(g)
 
     def positions(pos, ws):
+        # The edges' flat indices into the batch's (B, n, n) workspace arrays.
+        edges = (pairs + g.n * g.n * np.arange(len(ws.seeds))[:, None]).reshape(-1)
         coef = ws.scratch
         d_flat, coef_flat = ws.d.reshape(-1), coef.reshape(-1)
         for t in range(1, total + 1):
-            u, d = pair_directions(pos, t, batch, ws)
+            u, d = pair_directions(pos, t, ws)
             if ws.coincident:
                 d[d == 0.0] = _COINCIDENT_DIST
             # Per pair: repulsion k^2/d away, plus attraction d^2/k toward a
@@ -104,5 +105,6 @@ def fr_run(
             pos = np.clip(pos + disp * scale[:, None], 0.0, 1.0)
             yield pos
 
+    batch = batch_seeds(params.seed, seeds)
     records = iterate(g, "fr", batch, positions, capture_every=capture_every)
     return records[0] if seeds is None else records

@@ -1,13 +1,13 @@
 """Layout container, run record, seeded start, normalization, and what both
-algorithms share: the run loop (`iterate`, owner of a run's workspace), the
+algorithms share: the run loop (`iterate`, owner of the workspaces), the
 pairwise kernel (`pair_directions`) and the flat edge index (`edge_pairs`).
 
-A run advances B seeds of one graph together as a (B, 2, n) position array,
-so each numpy call's fixed cost is paid once per iteration, not once per
-seed; a single-seed run is the B = 1 case.  Both algorithms' schedules
-depend on the graph and the iteration only, so the seeds run in lockstep,
-and each seed's layouts are bitwise what its own run gives.  `PAIR_BLOCK`
-sizes the batches."""
+`iterate` advances a run's seeds in batches of B seeds of one graph, each a
+(B, 2, n) position array, so each numpy call's fixed cost is paid once per
+iteration, not once per seed; a single-seed run is the B = 1 case.  Both
+algorithms' schedules depend on the graph and the iteration only, so a
+batch's seeds run in lockstep, and each seed's layouts are bitwise what its
+own run gives.  `PAIR_BLOCK` sizes the batches, here and nowhere else."""
 
 from __future__ import annotations
 
@@ -126,67 +126,73 @@ def iterate(
     sync_end: int = 0,
 ) -> list[RunRecord]:
     """Run one layout algorithm from `initial_layout(g, seed)` for each of
-    the B `seeds` together, and record each seed's run.
+    the sequence `seeds`, in consecutive batches of max(1, PAIR_BLOCK // n^2)
+    seeds, and record each seed's run.
 
-    `positions(start, ws)` is the algorithm's own iteration: a generator
-    that takes the starts as a C-contiguous (B, 2, n) array, row k holding
-    the x and y rows of seed k, and the run's `PairWorkspace`, and yields the
-    (B, 2, n) positions after iterations 1, 2, ...; the number of yields is
-    the iteration count.  Every iterate must be finite (else `NumericError`,
-    naming the seeds whose rows are not).  The layout after iteration
-    `sync_end` (0: none) and every `capture_every`-th one (0: none) are kept
-    per seed.  Only the loop is timed: the starts and the workspace are made
-    before the clock.  Returns one record per seed, in order; each gets the
-    loop's wall time divided by B.
+    For a batch of B seeds, `positions(start, ws)` is the algorithm's own
+    iteration: a generator that takes the starts as a C-contiguous (B, 2, n)
+    array, row k holding the x and y rows of the batch's seed k, and the
+    batch's `PairWorkspace`, and yields the (B, 2, n) positions after
+    iterations 1, 2, ...; the number of yields is the iteration count.  Every
+    iterate must be finite (else `NumericError`, naming the seeds whose rows
+    are not).  The layout after iteration `sync_end` (0: none) and every
+    `capture_every`-th one (0: none) are kept per seed.  Only the loop is
+    timed: a batch's starts and workspace are made before its clock.
+    Returns one record per seed, in order, with its batch's loop time / B.
     """
-    seeds = tuple(seeds)
-    pos = np.stack([initial_layout(g, seed).coords.T for seed in seeds])
-    ws = PairWorkspace(g.n, len(seeds))
-    sync_end_layouts = [None] * len(seeds)
-    trajectories = [[] for _ in seeds]
-    start = time.perf_counter()
-    for t, pos in enumerate(positions(pos, ws), start=1):
-        if not np.isfinite(pos).all():
-            bad = [seed for seed, row in zip(seeds, pos) if not np.isfinite(row).all()]
-            raise NumericError(
-                f"non-finite coordinates at {algorithm} iteration {t} for seed(s) {bad}"
+    per_batch = max(1, PAIR_BLOCK // (g.n * g.n))
+    records = []
+    for first in range(0, len(seeds), per_batch):
+        batch = seeds[first:first + per_batch]
+        pos = np.stack([initial_layout(g, seed).coords.T for seed in batch])
+        # Only the generator holds the workspace, and a finished generator
+        # lets go of it: the next batch's is made after this one's is freed.
+        steps = positions(pos, PairWorkspace(g.n, batch))
+        sync_layouts = [None] * len(batch)
+        trajectories = [[] for _ in batch]
+        start = time.perf_counter()
+        for t, pos in enumerate(steps, start=1):
+            if not np.isfinite(pos).all():
+                bad = [seed for seed, row in zip(batch, pos) if not np.isfinite(row).all()]
+                raise NumericError(
+                    f"non-finite coordinates at {algorithm} iteration {t} for seed(s) {bad}"
+                )
+            if t == sync_end:
+                sync_layouts = [Layout(row.T, t) for row in pos]
+            if capture_every and t % capture_every == 0:
+                for trajectory, row in zip(trajectories, pos):
+                    trajectory.append((t, Layout(row.T, t)))
+        elapsed = (time.perf_counter() - start) / len(batch)
+        records += [
+            RunRecord(
+                algorithm=algorithm,
+                seed=seed,
+                n=g.n,
+                m=g.m,
+                iterations=t,
+                wall_time_total=elapsed,
+                wall_time_per_iteration=elapsed / t,
+                final_layout=Layout(row.T, t),
+                sync_end_layout=sync_layout,
+                trajectory=trajectory,
             )
-        if t == sync_end:
-            sync_end_layouts = [Layout(row.T, t) for row in pos]
-        if capture_every and t % capture_every == 0:
-            for trajectory, row in zip(trajectories, pos):
-                trajectory.append((t, Layout(row.T, t)))
-    elapsed = (time.perf_counter() - start) / len(seeds)
-    return [
-        RunRecord(
-            algorithm=algorithm,
-            seed=seed,
-            n=g.n,
-            m=g.m,
-            iterations=t,
-            wall_time_total=elapsed,
-            wall_time_per_iteration=elapsed / t,
-            final_layout=Layout(row.T, t),
-            sync_end_layout=sync_end_layout,
-            trajectory=trajectory,
-        )
-        for seed, row, sync_end_layout, trajectory in zip(
-            seeds, pos, sync_end_layouts, trajectories
-        )
-    ]
+            for seed, row, sync_layout, trajectory in zip(batch, pos, sync_layouts, trajectories)
+        ]
+    return records
 
 
-# Pair entries (seeds x vertex pairs) one kernel call may cover: a graph's
-# seeds run in batches of max(1, PAIR_BLOCK // n^2), so a batch's workspace
-# stays within 32 * PAIR_BLOCK bytes (1.5 MiB) unless one seed needs more.
-# Set from timed SnB and FR runs at B = 1-4 and n = 100-256 (README, "The
+# Pair entries (seeds x vertex pairs) one kernel call may cover: `iterate`
+# runs seeds in batches of max(1, PAIR_BLOCK // n^2), so a workspace stays
+# within 32 * PAIR_BLOCK bytes (1.5 MiB) unless one seed needs more.  Set
+# from timed SnB and FR runs at B = 1-4 and n = 100-256 (README, "The
 # pairwise kernel"): batches of up to about this many pair entries ran
 # faster per seed than one seed at a time, larger ones mostly did not.
 PAIR_BLOCK = 3 << 14
 
 
 class PairWorkspace:
-    """The arrays `pair_directions` writes into; `iterate` makes one per run.
+    """The arrays `pair_directions` writes into, for the batch of `seeds`
+    (row k's start and hash seed); `iterate` makes one per batch.
 
     For B seeds of n vertices it holds 4 B n^2 float64 values (32 B n^2
     bytes): `u`, the (B, 2, n, n) coordinate differences that are divided in
@@ -197,7 +203,9 @@ class PairWorkspace:
     `coincident` tells whether the last call took the coincident-pair path.
     """
 
-    def __init__(self, n: int, b: int):
+    def __init__(self, n: int, seeds):
+        self.seeds = tuple(seeds)
+        b = len(self.seeds)
         self.u = np.empty((b, 2, n, n))
         self.d = np.empty((b, n, n))
         self.scratch = np.empty((b, n, n))
@@ -213,16 +221,16 @@ def edge_pairs(g: Graph) -> np.ndarray:
     return np.concatenate((ends[0] * g.n + ends[1], ends[1] * g.n + ends[0]))
 
 
-def pair_directions(pos: np.ndarray, iteration: int, seeds, ws: PairWorkspace):
+def pair_directions(pos: np.ndarray, iteration: int, ws: PairWorkspace):
     """Unit directions and distances between all vertex pairs of B layouts.
 
     `pos` is a C-contiguous (B, 2, n) array; row k holds the x and y rows of
-    layout k, which was started from `seeds[k]`.  Returns `(u, d)`: `u` is
+    layout k, which was started from `ws.seeds[k]`.  Returns `(u, d)`: `u` is
     (B, 2, n, n) and `u[k, :, i, j]` the unit direction from vertex i to
     vertex j in layout k, zero on the diagonal; `d` is the (B, n, n) distance
     matrix with a diagonal of 1.  Both are `ws.u` and `ws.d`, overwritten by
     the next call on `ws`.  A coincident pair keeps d == 0 and gets the
-    deterministic direction hash_angle(seeds[k], iteration, i, j) for i < j,
+    deterministic direction hash_angle(ws.seeds[k], iteration, i, j) for i < j,
     negated for (j, i), so the two contributions stay exactly opposite.
     sqrt of the exact sum of squares (not hypot) keeps u bitwise invariant
     under exact power-of-two rescaling of the input.  Every entry depends on
@@ -249,7 +257,7 @@ def pair_directions(pos: np.ndarray, iteration: int, seeds, ws: PairWorkspace):
     scratch[coincident] = 1.0
     np.divide(u, scratch[:, None], out=u)
     for k, i, j in zip(*np.nonzero(np.triu(coincident))):
-        theta = hash_angle(seeds[k], iteration, int(i), int(j))
+        theta = hash_angle(ws.seeds[k], iteration, int(i), int(j))
         u[k, :, i, j] = math.cos(theta), math.sin(theta)
         u[k, :, j, i] = -u[k, :, i, j]
     return u, d

@@ -99,9 +99,10 @@ def find_crossings(g: Graph, layout: Layout):
     edges make a proper crossing.  The CROSSING_EPS bounding-box tests for
     touches and collinear overlaps run only on the pairs with a zero sign,
     which include every pair sharing a vertex (the shared endpoint's
-    orientation is exactly 0), so the vertex test runs there too.  Working memory is bounded per block and only the output
-    grows with the number of crossings: a random layout of queen 16x16
-    (m = 6320, 4.56 M crossings) peaks near 0.25 GB, most of it the output.
+    orientation is exactly 0), so the vertex test runs there too.  Working
+    memory is bounded per block and only the output grows with the number
+    of crossings: a random layout of queen 16x16 (m = 6320, 4.56 M
+    crossings) peaks near 0.25 GB, most of it the output.
     """
     m = g.m
     e = np.asarray(g.edges, dtype=np.intp).reshape(m, 2)

@@ -18,10 +18,10 @@ C-contiguous (B, 2, n) float64 array of x and y rows: s, the sync length
 and M(t) depend on the graph only, so the seeds share one schedule.  The
 directions come from `layout.pair_directions`, which the FR baseline
 shares; the attraction goes through one dense adjacency, set on the flat
-`layout.edge_pairs`, that serves the whole batch.  `snb_run` holds only
-the SnB iteration, as a generator of positions; `layout.iterate` gives it
-the workspace and starts, times, checks, snapshots and records it, as it
-does for FR.
+`layout.edge_pairs`, that serves every batch.  `snb_run` holds only the
+SnB iteration, as a generator of positions; `layout.iterate` splits the
+seeds into batches, gives each its workspace and starts, times, checks,
+snapshots and records it, as it does for FR.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def snb_step(g: Graph, prev: Layout, magnitude_prev: float, p: SnbParams) -> Lay
         raise ValueError("magnitude_prev must be positive")
     ratio = g.m * magnitude_prev ** (ATTRACTION_EXPONENT - 1.0)
     pos = np.ascontiguousarray(prev.coords.T)[None]
-    u, _ = pair_directions(pos, prev.iteration, (p.seed,), PairWorkspace(g.n, 1))
+    u, _ = pair_directions(pos, prev.iteration, PairWorkspace(g.n, (p.seed,)))
     return Layout(_step(u, _adjacency_matrix(g), ratio)[0].T, prev.iteration + 1)
 
 
@@ -218,15 +218,14 @@ def snb_run(
     coincident pairs with index t-1.  The layout at the end of the sync
     phase is kept; with `capture_every` = k > 0 so is every k-th layout.
     Returns the RunRecord of seed `params.seed`.  With `seeds`, runs those
-    seeds instead (`params.seed` must then be left at 0) as one batch: the
-    schedule and the sync length do not depend on the seed, and each seed's
-    record is bitwise what its own run gives.  Returns their records, in
-    order.
+    seeds instead (`params.seed` must then be left at 0) in the batches
+    `layout.iterate` sizes: the schedule and the sync length do not depend
+    on the seed, and each seed's record is bitwise what its own run gives.
+    Returns their records, in order.
     """
     _require_schedulable(g)
     if params is None:
         params = SnbParams(sync_param=compute_sync_param(g))
-    batch = batch_seeds(params.seed, seeds)
     log_m = math.log(g.m)
     adj = _adjacency_matrix(g)
 
@@ -234,13 +233,13 @@ def snb_run(
         log_mag_prev = -log_m  # M(0) = 1/m
         for t in range(1, params.total_multiplier * g.n + 1):
             ratio = math.exp(log_m + (ATTRACTION_EXPONENT - 1.0) * log_mag_prev)
-            u, _ = pair_directions(pos, t - 1, batch, ws)
+            u, _ = pair_directions(pos, t - 1, ws)
             pos = _step(u, adj, ratio)
             yield pos
             log_mag_prev = log_magnitude(t, g, params)
 
     records = iterate(
-        g, "snb", batch, positions,
+        g, "snb", batch_seeds(params.seed, seeds), positions,
         capture_every=capture_every,
         sync_end=sync_phase_iterations(g, params),
     )

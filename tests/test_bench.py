@@ -18,7 +18,7 @@ from snburst import (
     run_one,
     snb_run,
 )
-from snburst import bench, layout, snb
+from snburst import layout, snb
 from snburst.bench import (
     ALGORITHMS,
     BUCKET_FIELDS,
@@ -188,16 +188,17 @@ class TestBatches:
 
     def test_batch_size_does_not_change_records(self, tmp_path, monkeypatch):
         # Graphs of n = 5, 4 and 3; five seeds each.  PAIR_BLOCK = 50 gives
-        # batches of 2, 3 and 5 seeds, so some batches are partial.
+        # batches of 2, 3 and 5 seeds, so some batches are partial.  Each
+        # batch gets one workspace, for SnB and again for FR.
         corpus = make_corpus(tmp_path)
         sizes = []
-        run = bench.snb_run
 
-        def spy(g, params, *, seeds):
-            sizes.append((g.n, len(seeds)))
-            return run(g, params, seeds=seeds)
+        class Spy(layout.PairWorkspace):
+            def __init__(self, n, seeds):
+                super().__init__(n, seeds)
+                sizes.append((n, len(self.seeds)))
 
-        monkeypatch.setattr(bench, "snb_run", spy)
+        monkeypatch.setattr(layout, "PairWorkspace", Spy)
         tables = {}
         for budget in (1, 50, 1 << 15):
             monkeypatch.setattr(layout, "PAIR_BLOCK", budget)
@@ -209,7 +210,8 @@ class TestBatches:
                 del row["wall_time_total"], row["wall_time_per_iteration"]
             tables[budget] = rows
             if budget == 50:
-                assert sorted(sizes) == [(3, 5), (4, 2), (4, 3), (5, 1), (5, 2), (5, 2)]
+                per_algorithm = [(3, 5), (4, 2), (4, 3), (5, 1), (5, 2), (5, 2)]
+                assert sorted(sizes) == sorted(2 * per_algorithm)
             else:
                 assert {k for _, k in sizes} == ({1} if budget == 1 else {5})
         assert tables[1] == tables[50] == tables[1 << 15]

@@ -1,7 +1,7 @@
 """Every job of `make_golden.JOBS` still gives the digest stored in
 `golden/identity.json`: layouts and metrics are bitwise what they were when
-the file was written.  Run in a batch with another seed, a job still gives
-its digest."""
+the file was written.  Run in a batch with another seed, or in a later
+batch of the same run, a job still gives its digest."""
 
 import json
 
@@ -42,7 +42,9 @@ def test_batch_of_two_seeds_keeps_each_digest(name, algorithm):
 @pytest.mark.parametrize("algorithm", ["snb", "fr"])
 def test_mixed_lattice_and_seeded_batch(monkeypatch, algorithm):
     # Seed 0 starts on the 3 x 3 lattice (coincident pairs), seed 1 from
-    # its seeded random start, both in one batch.
+    # its seeded random start: first both in one batch, then with a budget
+    # of one seed per batch and seed 1 first, so the lattice seed runs in a
+    # later batch and must still hash its coincident pairs with seed 0.
     name = make_golden.LATTICE_GRAPH
     g = make_golden.GRAPHS[name]()
     lattice = Layout(lattice_coords(g.n))
@@ -50,7 +52,11 @@ def test_mixed_lattice_and_seeded_batch(monkeypatch, algorithm):
     monkeypatch.setattr(
         layout_mod, "initial_layout", lambda g, seed: lattice if seed == 0 else seeded(g, seed)
     )
-    lattice_record, seeded_record = run_batch(g, algorithm, (0, 1))
     jobs = GOLDEN["jobs"]
-    assert make_golden.record_digest(lattice_record) == jobs[f"{algorithm}-{name}-lattice-0"]
-    assert make_golden.record_digest(seeded_record) == jobs[f"{algorithm}-{name}-1"]
+    want = {0: jobs[f"{algorithm}-{name}-lattice-0"], 1: jobs[f"{algorithm}-{name}-1"]}
+    for budget, seeds in ((layout_mod.PAIR_BLOCK, (0, 1)), (1, (1, 0))):
+        monkeypatch.setattr(layout_mod, "PAIR_BLOCK", budget)
+        records = run_batch(g, algorithm, seeds)
+        assert [r.seed for r in records] == list(seeds)
+        for r in records:
+            assert make_golden.record_digest(r) == want[r.seed], (budget, seeds, r.seed)

@@ -1,14 +1,16 @@
 """The in-place pairwise kernel and the runs built on it: every frame of
 `fr_run` and `snb_run`, alone or in a batch of seeds, is bitwise equal to
 the frozen dense iterations in `oracles`, a reused workspace gives what a
-fresh one gives, `iterate` makes the workspace before its clock starts and
-names the seeds whose rows go non-finite, and a run allocates no n x n
-array beyond its workspace."""
+fresh one gives, `iterate` makes each batch's workspace before its clock
+starts and after the previous batch's is freed, and names the seeds whose
+rows go non-finite, and a run allocates no n x n array beyond one batch's
+workspace."""
 
 import math
 import random
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -139,13 +141,13 @@ class TestWorkspaceReuse:
         n = 12
         coincident = np.ascontiguousarray(lattice_coords(n).T)[None]
         distinct = np.random.default_rng(0).random((1, 2, n))
-        ws = PairWorkspace(n, 1)
+        ws = PairWorkspace(n, (5,))
 
         def check(pos, iteration, want_coincident):
-            u, d = pair_directions(pos, iteration, (5,), ws)
+            u, d = pair_directions(pos, iteration, ws)
             assert np.shares_memory(u, ws.u) and np.shares_memory(d, ws.d)
             assert ws.coincident is want_coincident
-            fresh_u, fresh_d = pair_directions(pos, iteration, (5,), PairWorkspace(n, 1))
+            fresh_u, fresh_d = pair_directions(pos, iteration, PairWorkspace(n, (5,)))
             assert np.array_equal(u, fresh_u)
             assert np.array_equal(d, fresh_d)
             return d
@@ -163,11 +165,15 @@ class TestWorkspaceReuse:
 def test_iterate_makes_workspace_before_clock_and_passes_it_on(monkeypatch):
     # In order: each workspace `iterate` makes and each clock read.
     events = []
+    made = []  # weak references to the workspaces, in the order made
 
     class RecordingWorkspace(PairWorkspace):
-        def __init__(self, n, b):
-            super().__init__(n, b)
-            events.append(self)
+        def __init__(self, n, seeds):
+            # The previous batch's workspace is freed before the next is made.
+            assert all(ref() is None for ref in made)
+            super().__init__(n, seeds)
+            made.append(weakref.ref(self))
+            events.append("workspace")
 
     class RecordingClock:
         @staticmethod
@@ -180,12 +186,22 @@ def test_iterate_makes_workspace_before_clock_and_passes_it_on(monkeypatch):
     given = []
 
     def positions(pos, ws):
-        given.append(ws)
+        assert ws is made[-1]()
+        given.append(ws.seeds)
         yield pos
 
-    layout_mod.iterate(gen_queen(3, 3), "probe", (0,), positions)
-    assert len(events) == 3 and events[1:] == ["clock", "clock"]
-    assert len(given) == 1 and given[0] is events[0]
+    # Queen 3 x 3 has n^2 = 81, so a budget of 162 gives batches of 2.
+    for budget, seeds, batches in (
+        (1 << 15, (0,), [(0,)]),
+        (162, (0, 1, 2, 3), [(0, 1), (2, 3)]),
+    ):
+        monkeypatch.setattr(layout_mod, "PAIR_BLOCK", budget)
+        for log in (events, made, given):
+            log.clear()
+        records = layout_mod.iterate(gen_queen(3, 3), "probe", seeds, positions)
+        assert events == ["workspace", "clock", "clock"] * len(batches)
+        assert given == batches
+        assert [r.seed for r in records] == list(seeds)
 
 
 @pytest.mark.parametrize("algorithm, ceiling", [
@@ -213,16 +229,22 @@ def test_allocation_ceiling(algorithm, ceiling):
     assert peak / (8 * g.n * g.n) < ceiling
 
 
-@pytest.mark.parametrize("algorithm", ["fr", "snb"])
-def test_batched_allocation_ceiling(algorithm):
-    # A paper-size batch (n = 100, B = 3) holds its (B, ...) workspace of
-    # 4 B n^2 doubles, and SnB its n x n adjacency.  All else must fit in one
-    # more n x n array plus the fixed-size buffer numpy's ufunc iterator
-    # takes for a broadcast operand (`np.getbufsize()` elements, 64 KiB by
-    # default: 0.82 n^2 doubles at this n, whatever B is).  One more n x n
-    # temporary per iteration, or any (B, n, n) one, goes over.
+@pytest.mark.parametrize("algorithm, seeds", [
+    pytest.param("fr", range(3), id="fr"),
+    pytest.param("snb", range(3), id="snb"),
+    # Past the cap: 12 seeds run as batches of PAIR_BLOCK // n^2 = 4.
+    pytest.param("fr", range(12), id="fr-12-seeds"),
+    pytest.param("snb", range(12), id="snb-12-seeds"),
+])
+def test_batched_allocation_ceiling(algorithm, seeds):
+    # A paper-size batch (n = 100) holds its (B, ...) workspace of 4 B n^2
+    # doubles, with B = min(seeds, PAIR_BLOCK // n^2), and SnB its n x n
+    # adjacency.  All else must fit in one more n x n array plus the
+    # fixed-size buffer numpy's ufunc iterator takes for a broadcast operand
+    # (`np.getbufsize()` elements, 64 KiB by default: 0.82 n^2 doubles at
+    # this n, whatever B is).  One more n x n temporary per iteration, any
+    # (B, n, n) one, or two batches' workspaces at once goes over.
     g = gen_scale_free(100, 2, seed=0)
-    seeds = (0, 1, 2)
     tracemalloc.start()
     try:
         if algorithm == "fr":
@@ -233,7 +255,8 @@ def test_batched_allocation_ceiling(algorithm):
     finally:
         tracemalloc.stop()
     square = 8 * g.n * g.n
-    arrays = 4 * len(seeds) + (2 if algorithm == "snb" else 1)
+    rows = min(len(seeds), layout_mod.PAIR_BLOCK // (g.n * g.n))
+    arrays = 4 * rows + (2 if algorithm == "snb" else 1)
     assert peak < arrays * square + 8 * np.getbufsize()
 
 

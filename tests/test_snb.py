@@ -81,7 +81,7 @@ class TestPairDirections:
         rng = random.Random(6)
         coords = random_layout_coords(12, rng)
         pos = np.ascontiguousarray(coords.T)[None]
-        u, d = pair_directions(pos, 3, (1,), PairWorkspace(12, 1))
+        u, d = pair_directions(pos, 3, PairWorkspace(12, (1,)))
         assert u.shape == (1, 2, 12, 12) and d.shape == (1, 12, 12)
         u, d = u[0], d[0]
         assert np.all(np.diagonal(u, axis1=1, axis2=2) == 0.0)
@@ -99,7 +99,7 @@ class TestPairDirections:
     def test_coincident_pairs_get_hashed_direction(self):
         # Vertices 0, 1 and 3 share one point; vertex 2 is elsewhere.
         pos = np.array([[[0.25, 0.25, 0.75, 0.25], [0.5, 0.5, 0.0, 0.5]]])
-        u, d = pair_directions(pos, 7, (11,), PairWorkspace(4, 1))
+        u, d = pair_directions(pos, 7, PairWorkspace(4, (11,)))
         u, d = u[0], d[0]
         for i, j in ((0, 1), (0, 3), (1, 3)):
             assert d[i, j] == d[j, i] == 0.0
@@ -108,9 +108,9 @@ class TestPairDirections:
             assert np.array_equal(u[:, j, i], -u[:, i, j])
         assert d[0, 2] > 0.0 and np.allclose(np.hypot(u[0, 0, 2], u[1, 0, 2]), 1.0)
         # Own workspaces: one shared with `u` would make `again` alias it.
-        again, _ = pair_directions(pos, 7, (11,), PairWorkspace(4, 1))
+        again, _ = pair_directions(pos, 7, PairWorkspace(4, (11,)))
         assert np.array_equal(u, again[0])
-        later, _ = pair_directions(pos, 8, (11,), PairWorkspace(4, 1))
+        later, _ = pair_directions(pos, 8, PairWorkspace(4, (11,)))
         assert not np.array_equal(u[:, 0, 1], later[0, :, 0, 1])
 
     def test_coincident_pair_hashes_its_rows_seed(self):
@@ -121,12 +121,12 @@ class TestPairDirections:
             [[0.25, 0.25, 0.75], [0.5, 0.5, 0.0]],
         ])
         seeds = (4, 5, 6)
-        u, d = pair_directions(pos, 2, seeds, PairWorkspace(3, 3))
+        u, d = pair_directions(pos, 2, PairWorkspace(3, seeds))
         for k in (0, 2):
             assert d[k, 0, 1] == 0.0
             theta = hash_angle(seeds[k], 2, 0, 1)
             assert (u[k, 0, 0, 1], u[k, 1, 0, 1]) == (math.cos(theta), math.sin(theta))
-            alone, _ = pair_directions(pos[k:k + 1], 2, seeds[k:k + 1], PairWorkspace(3, 1))
+            alone, _ = pair_directions(pos[k:k + 1], 2, PairWorkspace(3, seeds[k:k + 1]))
             assert u[k].tobytes() == alone[0].tobytes()
         assert not np.array_equal(u[0], u[2])
         assert np.all(d[1] > 0.0)
@@ -140,12 +140,12 @@ class TestPairDirections:
         # layout, row 1 a random one.
         rng = np.random.default_rng(n)
         for seeds in ((9,), (9, 10)):
-            ws = PairWorkspace(n, len(seeds))
+            ws = PairWorkspace(n, seeds)
             for iteration in range(3):
                 first = lattice_coords(n).T if lattice else rng.random((2, n))
                 rows = [first] + [rng.random((2, n)) for _ in seeds[1:]]
                 pos = np.ascontiguousarray(np.stack(rows))
-                u, d = pair_directions(pos, iteration, seeds, ws)
+                u, d = pair_directions(pos, iteration, ws)
                 assert ws.coincident is lattice
                 for k, seed in enumerate(seeds):
                     want_u, want_d = oracles.dense_pair_directions(pos[k], iteration, seed)
