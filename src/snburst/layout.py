@@ -7,7 +7,8 @@ pairwise kernel (`pair_directions`) and the flat edge index (`edge_pairs`).
 iteration, not once per seed; a single-seed run is the B = 1 case.  Both
 algorithms' schedules depend on the graph and the iteration only, so a
 batch's seeds run in lockstep, and each seed's layouts are bitwise what its
-own run gives.  `PAIR_BLOCK` sizes the batches, here and nowhere else."""
+own run gives.  `PAIR_BLOCK` sizes the batches here and nowhere else; the
+metrics read it for their distance row blocks."""
 
 from __future__ import annotations
 
@@ -187,6 +188,8 @@ def iterate(
 # from timed SnB and FR runs at B = 1-4 and n = 100-256 (README, "The
 # pairwise kernel"): batches of up to about this many pair entries ran
 # faster per seed than one seed at a time, larger ones mostly did not.
+# `metrics._nearest_vertex_distances` takes its distance rows in blocks of
+# max(1, PAIR_BLOCK // n) vertices under the same budget.
 PAIR_BLOCK = 3 << 14
 
 

@@ -14,6 +14,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import layout as layout_mod
 from .graphs import Graph
 from .layout import Layout, normalize_layout
 
@@ -22,12 +23,27 @@ from .layout import Layout, normalize_layout
 CROSSING_EPS = 1e-12
 
 # Edge pairs tested per block in find_crossings: a block is
-# max(1, CROSSING_BLOCK_PAIRS // m) edges against all later edges.  Each
-# tested pair holds about 60 bytes of temporaries (about 120 where every
-# orientation sign is zero, as on a collinear layout), so a block stays
-# under 4 MB; blocks of 2^17 pairs ran no faster and raised the peak RSS
-# of a pipeline run on a 400-edge graph by 7 MB.
-CROSSING_BLOCK_PAIRS = 1 << 15
+# max(1, CROSSING_BLOCK_PAIRS // m) edges against all later edges.  The box
+# filter takes about 3 bytes per tested pair, and each pair whose boxes
+# meet about 70 while its orientations are tested (about 130 where every
+# orientation sign is zero, as on a collinear layout).  A block of 2^16
+# pairs peaked (tracemalloc) at 1.1-1.6 MiB on the queen 8x8, 15x5 and
+# 12x12 SnB and FR final layouts (27% of the 12x12 boxes meet), 2.4 MiB
+# on a random queen 16x16 layout and 8 MiB with all vertices on one line.
+# Sweep, in ms per call (median of 11 interleaved calls on 2 shared Xeon
+# cores):
+#
+#   pairs per block        2^15   2^16   2^17   before the box filter (2^15)
+#   queen 12x12 SnB          77     65     60    112
+#   queen 12x12 FR           71     64     58    108
+#   queen 16x16 SnB         399    343    315    538
+#   queen 16x16 random      594    542    503    665
+#
+# 2^17 is a little faster but raised the peak RSS of a fresh process
+# scoring the paper's graphs by 1.5 MB.  At 2^16 that peak, and those of
+# the queen 12x12 final layouts and of a random queen 16x16 layout, stay
+# within 0.2 MB of the pass before the filter.
+CROSSING_BLOCK_PAIRS = 1 << 16
 
 # Clamp for a zero-area (collinear) bounding box in vertex_distribution.
 MIN_BOX_SIDE = 1e-9
@@ -91,24 +107,32 @@ def find_crossings(g: Graph, layout: Layout):
     sharing a vertex are never counted.  Proper intersections,
     endpoint-on-segment touches and collinear overlaps all count.
 
-    Each edge's endpoints, direction b - a and length are computed once.
-    The m(m-1)/2 edge pairs are then tested in row blocks of edges against
-    all later edges, about CROSSING_BLOCK_PAIRS pairs per block: a block
-    broadcasts the four orientation values, one per endpoint against the
-    other edge's line, and keeps only their signs.  Opposite signs on both
-    edges make a proper crossing.  The CROSSING_EPS bounding-box tests for
-    touches and collinear overlaps run only on the pairs with a zero sign,
-    which include every pair sharing a vertex (the shared endpoint's
-    orientation is exactly 0), so the vertex test runs there too.  Working
-    memory is bounded per block and only the output grows with the number
-    of crossings: a random layout of queen 16x16 (m = 6320, 4.56 M
-    crossings) peaks near 0.25 GB, most of it the output.
+    Each edge's endpoints, direction b - a, length and CROSSING_EPS-widened
+    bounding box are computed once.  The m(m-1)/2 edge pairs are then
+    walked in row blocks of edges against all later edges, about
+    CROSSING_BLOCK_PAIRS pairs per block.  A block first compares the
+    boxes, four comparisons per pair, and keeps the pairs whose boxes meet,
+    in row-major order; only those get the exact tests.  The filter drops
+    no crossing: a touch needs an endpoint inside the other edge's widened
+    box, and a proper crossing needs opposite orientations beyond
+    CROSSING_EPS on both edges, which, while rounding error stays below
+    eps (as on a normalized layout), means a true intersection inside both
+    boxes.  On a kept pair, the four orientation values, one per endpoint
+    against the other edge's line, give their signs: opposite signs on
+    both edges make a proper crossing.  The bounding-box tests for touches
+    and collinear overlaps run only on the pairs with a zero sign that
+    share no vertex (a shared endpoint's orientation is exactly 0, so every
+    pair sharing a vertex is among the zero-sign pairs).  Working memory is
+    bounded per block and only the output grows with the number of
+    crossings: a random layout of queen 16x16 (m = 6320, 4.56 M crossings)
+    peaks near 0.25 GB, most of it the output.
     """
     m = g.m
     e = np.asarray(g.edges, dtype=np.intp).reshape(m, 2)
+    u, v = e.T
     c = layout.coords
-    ax, ay = c[e[:, 0], 0], c[e[:, 0], 1]
-    bx, by = c[e[:, 1], 0], c[e[:, 1], 1]
+    ax, ay = c[u, 0], c[u, 1]
+    bx, by = c[v, 0], c[v, 1]
     dx, dy = bx - ax, by - ay
     length = np.sqrt(dx * dx + dy * dy)
     lox, hix = np.minimum(ax, bx) - CROSSING_EPS, np.maximum(ax, bx) + CROSSING_EPS
@@ -122,39 +146,60 @@ def find_crossings(g: Graph, layout: Layout):
     pairs, angles = [np.empty((0, 2), dtype=int)], [np.empty(0)]
     for a in range(0, m - 1, rows):
         b = min(a + rows, m - 1)
-        # Block edges i in rows, edges j >= a in columns.
-        axi, ayi, bxi, byi, dxi, dyi = (v[a:b, None] for v in (ax, ay, bx, by, dx, dy))
-        axj, ayj, bxj, byj, dxj, dyj = (v[a:] for v in (ax, ay, bx, by, dx, dy))
+        # Block edges i in rows, edges j >= a in columns.  The pairs j > i
+        # whose boxes meet, row-major: k indexes them in the block, count
+        # per row, and i, j are their edges.
+        meet = (lox[a:b, None] <= hix[a:]) & (lox[a:] <= hix[a:b, None])
+        meet &= loy[a:b, None] <= hiy[a:]
+        meet &= loy[a:] <= hiy[a:b, None]
+        meet[:, : b - a] = np.triu(meet[:, : b - a], 1)
+        k = np.flatnonzero(meet)
+        del meet
+        count = np.diff(np.searchsorted(k, np.arange(b - a + 1) * (m - a)))
+        i = np.repeat(np.arange(a, b), count)
+        j = k - np.repeat(np.arange(b - a) * (m - a) - a, count)
+        del k
+        dxi, dyi = np.repeat(dx[a:b], count), np.repeat(dy[a:b], count)
+        dxj, dyj = dx.take(j), dy.take(j)
         # Orientation of point p against edge (a, b), in the operand order
         # (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x).  That of
         # a_j against edge i is the negation of the value computed here from
         # a_i - a_j (exactly so in floating point), hence its swapped signs.
-        ddx, ddy = axi - axj, ayi - ayj
+        # Each orientation's endpoint differences are gathered just before
+        # it is taken, so a block holds only a few arrays per kept pair.
+        ddx = np.repeat(ax[a:b], count) - ax.take(j)
+        ddy = np.repeat(ay[a:b], count) - ay.take(j)
         p1, n1 = _signs(dxj * ddy - dyj * ddx)  # a_i against edge j
         n3, p3 = _signs(dxi * ddy - dyi * ddx)  # a_j against edge i
+        ddx = np.repeat(bx[a:b], count) - ax.take(j)
+        ddy = np.repeat(by[a:b], count) - ay.take(j)
+        p2, n2 = _signs(dxj * ddy - dyj * ddx)  # b_i against edge j
+        ddx = bx.take(j) - np.repeat(ax[a:b], count)
+        ddy = by.take(j) - np.repeat(ay[a:b], count)
+        p4, n4 = _signs(dxi * ddy - dyi * ddx)  # b_j against edge i
         del ddx, ddy
-        p2, n2 = _signs(dxj * (byi - ayj) - dyj * (bxi - axj))  # b_i against edge j
-        p4, n4 = _signs(dxi * (byj - ayi) - dyi * (bxj - axi))  # b_j against edge i
-        later = np.arange(m - a) > np.arange(b - a)[:, None]
-        crossing = ((p1 & n2) | (n1 & p2)) & ((p3 & n4) | (n3 & p4)) & later
+        crossing = ((p1 & n2) | (n1 & p2)) & ((p3 & n4) | (n3 & p4))
         s1, s2, s3, s4 = p1 | n1, p2 | n2, p3 | n3, p4 | n4
         # A zero sign: a touch, a collinear pair or a shared vertex.
-        k = np.flatnonzero(later & ~(s1 & s2 & s3 & s4))
-        ki, kj = np.divmod(k, m - a)
-        ki += a
-        kj += a
-        ui, vi, uj, vj = e[ki, 0], e[ki, 1], e[kj, 0], e[kj, 1]
-        touching = ((ui != uj) & (ui != vj) & (vi != uj) & (vi != vj)) & (
-            (~s1.take(k) & in_bbox(ax[ki], ay[ki], kj))
-            | (~s2.take(k) & in_bbox(bx[ki], by[ki], kj))
-            | (~s3.take(k) & in_bbox(ax[kj], ay[kj], ki))
-            | (~s4.take(k) & in_bbox(bx[kj], by[kj], ki))
+        z = np.flatnonzero(~(s1 & s2 & s3 & s4))
+        zi, zj = i.take(z), j.take(z)
+        ui, vi, uj, vj = u[zi], v[zi], u[zj], v[zj]
+        apart = (ui != uj) & (ui != vj) & (vi != uj) & (vi != vj)
+        z, zi, zj = z[apart], zi[apart], zj[apart]
+        touching = (
+            (~s1.take(z) & in_bbox(ax[zi], ay[zi], zj))
+            | (~s2.take(z) & in_bbox(bx[zi], by[zi], zj))
+            | (~s3.take(z) & in_bbox(ax[zj], ay[zj], zi))
+            | (~s4.take(z) & in_bbox(bx[zj], by[zj], zi))
         )
-        np.put(crossing, k[touching], True)
-        ii, jj = np.nonzero(crossing)
-        ii += a
-        jj += a
-        dot = np.abs(dx[ii] * dx[jj] + dy[ii] * dy[jj])
+        np.put(crossing, z[touching], True)
+        hit = np.flatnonzero(crossing)
+        ii, jj = i.take(hit), j.take(hit)
+        dot = np.abs(dxi.take(hit) * dxj.take(hit) + dyi.take(hit) * dyj.take(hit))
+        # Free the block's per-pair arrays before its output is built, so
+        # the output can take their place in the heap instead of piling up
+        # above them (1.3 MB less peak RSS on a random queen 16x16 layout).
+        del i, j, dxi, dyi, dxj, dyj, p1, n1, p2, n2, p3, n3, p4, n4, s1, s2, s3, s4, crossing, hit
         norms = length[ii] * length[jj]
         denom = np.where(norms == 0.0, 1.0, norms)
         angles.append(np.degrees(np.arccos(np.clip(dot / denom, -1.0, 1.0))))
@@ -242,14 +287,23 @@ def edge_length_stdev(g: Graph, layout: Layout) -> float:
 
 
 def _nearest_vertex_distances(coords: np.ndarray) -> np.ndarray:
-    """Distance from each vertex to its nearest other vertex, from the one
-    n x n distance matrix the metrics build."""
+    """Distance from each vertex to its nearest other vertex, from the
+    n x n distance matrix taken in row blocks of max(1, PAIR_BLOCK // n)
+    vertices (one block while n * n <= PAIR_BLOCK).  A minimum is exact
+    under any blocking, and the working memory stays a few blocks: at
+    n = 3000 it traces 1.9 MiB, where the whole matrix took 275 MiB."""
+    n = len(coords)
     x, y = coords[:, 0], coords[:, 1]
-    dx = x[None, :] - x[:, None]
-    dy = y[None, :] - y[:, None]
-    d = np.sqrt(dx * dx + dy * dy)
-    np.fill_diagonal(d, np.inf)
-    return d.min(axis=1)
+    rows = max(1, layout_mod.PAIR_BLOCK // n)
+    nearest = np.empty(n)
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        dx = x[None, :] - x[a:b, None]
+        dy = y[None, :] - y[a:b, None]
+        d = np.sqrt(dx * dx + dy * dy)
+        np.fill_diagonal(d[:, a:], np.inf)
+        nearest[a:b] = d.min(axis=1)
+    return nearest
 
 
 def min_pair_distance_scaled(layout: Layout) -> float:

@@ -8,8 +8,10 @@ import pytest
 
 import oracles
 from conftest import random_connected_graph, random_graph, random_layout_coords
+from snburst import layout as layout_mod
 from snburst import metrics
 from snburst import (
+    FrParams,
     Graph,
     Layout,
     MetricsReport,
@@ -20,6 +22,7 @@ from snburst import (
     count_crossings,
     edge_length_stdev,
     find_crossings,
+    fr_run,
     gen_queen,
     min_pair_distance_scaled,
     snb_run,
@@ -191,6 +194,30 @@ class TestCrossingsMatchGatheredPass:
         for r, c in ((5, 5), (3, 6)):
             g = gen_queen(r, c)
             yield "integer-grid", g, np.array([(i % c, i // c) for i in range(g.n)], dtype=float)
+        for g, seed in ((gen_queen(6, 6), 0), (gen_queen(5, 3), 1)):
+            yield "fr-final", g, fr_run(g, FrParams(seed=seed)).final_layout.coords
+        # The lattices scaled by 2^30: CROSSING_EPS is below half an ulp of
+        # the coordinates, so it no longer widens a box, and touching
+        # endpoints lie exactly on box edges.
+        for g in (gen_queen(4, 4), random_graph(14, 40, rng)):
+            yield "coincident-lattice-2^30", g, 2.0**30 * np.array(
+                [(rng.randrange(3), rng.randrange(3)) for _ in range(g.n)], dtype=float
+            )
+        for r, c in ((5, 5), (3, 6)):
+            g = gen_queen(r, c)
+            yield "integer-grid-2^30", g, 2.0**30 * np.array(
+                [(i % c, i // c) for i in range(g.n)], dtype=float
+            )
+        # Nearly collinear vertices at scale 1e9, off the line by about the
+        # orientation rounding error (~1e2, far beyond CROSSING_EPS):
+        # segments apart along the line next to overlapping ones.
+        x = np.sort(np.random.default_rng(4).random(24)) * 1e9
+        y = 0.37 * x + np.random.default_rng(5).normal(0.0, 1e-7, 24)
+        yield "near-collinear-1e9", random_graph(24, 60, rng), np.column_stack([x, y])
+        # No two boxes meet: every block has zero candidate pairs.
+        yield "boxes-apart", Graph(20, tuple((k, k + 1) for k in range(0, 20, 2))), np.array(
+            [(k, k % 2) for k in range(20)], dtype=float
+        )
 
     @staticmethod
     def assert_same(g, layout):
@@ -209,7 +236,11 @@ class TestCrossingsMatchGatheredPass:
                 monkeypatch.setattr(metrics, "CROSSING_BLOCK_PAIRS", rows * g.m)
             if self.assert_same(g, Layout(coords)):
                 kinds.add(kind)
-        assert kinds == {"random", "snb-final", "coincident-lattice", "integer-grid"}
+        # Every kind finds crossings but the one whose boxes never meet.
+        assert kinds == {
+            "random", "snb-final", "fr-final", "coincident-lattice", "integer-grid",
+            "coincident-lattice-2^30", "integer-grid-2^30", "near-collinear-1e9",
+        }
 
     @pytest.mark.parametrize("edges, coords", [
         ((), [(0, 0), (1, 1), (2, 0), (3, 1)]),
@@ -310,6 +341,29 @@ class TestLengthsAndDistances:
             assert min_pair_distance_scaled(layout) == pytest.approx(
                 oracles.min_pair_distance_scaled(coords), rel=1e-9
             )
+
+    @pytest.mark.parametrize("budget", [1, 80, 120])
+    def test_nearest_distances_blocks_do_not_show(self, monkeypatch, budget):
+        # Blocks of 1, 2 and 3 of the 40 vertices (the last one shorter), and
+        # vertices coincident across blocks: the same minima, bit for bit.
+        coords = np.vstack([np.random.default_rng(6).random((37, 2)), [[0.5, 0.5]] * 3])
+        whole = vertex_distribution(Layout(coords))
+        monkeypatch.setattr(layout_mod, "PAIR_BLOCK", budget)
+        blocked = vertex_distribution(Layout(coords))
+        assert blocked.nearest_vertex_distances == whole.nearest_vertex_distances
+        assert blocked.radii == whole.radii
+
+    def test_min_pair_distance_memory_bounded(self):
+        # The whole 3000 x 3000 distance matrix and its temporaries trace
+        # about 275 MiB; in row blocks of PAIR_BLOCK pairs, about 2 MiB.
+        layout = Layout(np.random.default_rng(0).random((3000, 2)))
+        tracemalloc.start()
+        try:
+            min_pair_distance_scaled(layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestVertexDistribution:
