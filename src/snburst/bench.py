@@ -11,7 +11,7 @@ from .graphs import Graph, GraphError, parse_edge_list, parse_graphml
 from .layout import DegenerateGraphError, RunRecord
 from .metrics import CSV_FIELDS, compute_metrics
 from .render import csv_text
-from .snb import SnbParams, compute_sync_param, snb_run
+from .snb import SnbParams, _require_schedulable, compute_sync_param, snb_run
 
 log = logging.getLogger(__name__)
 
@@ -85,15 +85,9 @@ def run_batch(
     return records
 
 
-def run_one(
-    g: Graph,
-    algorithm: str,
-    seed: int,
-    graph_id: str = "",
-    total_multiplier: int = 20,
-) -> RunRecord:
+def run_one(g: Graph, algorithm: str, seed: int, graph_id: str = "") -> RunRecord:
     """`run_batch` for the one seed `seed`: its labelled, scored record."""
-    (record,) = run_batch(g, algorithm, (seed,), graph_id, total_multiplier)
+    (record,) = run_batch(g, algorithm, (seed,), graph_id)
     return record
 
 
@@ -110,8 +104,9 @@ def run_corpus(
 
     Each (graph, algorithm) is one `run_batch` call over seeds
     0..seeds_per_graph-1, so SnB's s is computed once per graph.
-    Unreadable or unparseable files, and graphs with n < 2 or m < 1 (on
-    which every job would fail), are skipped with a logged warning.  Records
+    Unreadable or unparseable files, and graphs SnB cannot schedule (n < 2
+    or m < 1), are skipped with a logged warning, whatever `algorithms`
+    asks for, so every algorithm sees the same graphs.  Records
     come back sorted by (graph_id, algorithm, seed), so the record set is
     deterministic.  `workers` is kept only for callers that still pass
     `workers=1` (the benchmark's `perfbench/one_pass.py`); any other value
@@ -126,8 +121,7 @@ def run_corpus(
     for path in sorted(p for p in directory.iterdir() if p.is_file()):
         try:
             g = load_graph_file(path)
-            if g.n < 2 or g.m < 1:
-                raise DegenerateGraphError(f"needs n >= 2 and m >= 1, got n={g.n}, m={g.m}")
+            _require_schedulable(g)
         except (OSError, GraphError, DegenerateGraphError, UnicodeDecodeError) as exc:
             log.warning("skipping %s: %s", path.name, exc)
             continue

@@ -200,9 +200,7 @@ def find_crossings(g: Graph, layout: Layout):
         # the output can take their place in the heap instead of piling up
         # above them (1.3 MB less peak RSS on a random queen 16x16 layout).
         del i, j, dxi, dyi, dxj, dyj, p1, n1, p2, n2, p3, n3, p4, n4, s1, s2, s3, s4, crossing, hit
-        norms = length[ii] * length[jj]
-        denom = np.where(norms == 0.0, 1.0, norms)
-        angles.append(np.degrees(np.arccos(np.clip(dot / denom, -1.0, 1.0))))
+        angles.append(_angles(dot, length[ii] * length[jj]))
         pairs.append(np.column_stack([ii, jj]))
     pairs = np.concatenate(pairs)  # frees the pair blocks before the angles join
     return pairs, np.concatenate(angles)
@@ -213,6 +211,12 @@ def _signs(v: np.ndarray):
     return v > CROSSING_EPS, v < -CROSSING_EPS
 
 
+def _angles(dot: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Angles (degrees) from dot products and length products, a zero
+    product read as 1.  This is the package's one arccos."""
+    return np.degrees(np.arccos(np.clip(dot / np.where(norms == 0.0, 1.0, norms), -1.0, 1.0)))
+
+
 def count_crossings(g: Graph, layout: Layout) -> int:
     """Number of unordered edge pairs that cross (concurrent crossings count pairwise)."""
     pairs, _ = find_crossings(g, layout)
@@ -221,10 +225,14 @@ def count_crossings(g: Graph, layout: Layout) -> int:
 
 def avg_crossing_angle(g: Graph, layout: Layout) -> float:
     """Mean acute crossing angle in degrees; 90 for planar (crossing-free) layouts."""
-    _, angles = find_crossings(g, layout)
-    if len(angles) == 0:
-        return 90.0
-    return float(angles.mean())
+    return _crossing_summary(g, layout)[1]
+
+
+def _crossing_summary(g: Graph, layout: Layout) -> tuple[int, float]:
+    """The crossing count and mean angle (90 if planar) of one `find_crossings`
+    pass, whose arrays, the largest of a report, are freed on return."""
+    pairs, angles = find_crossings(g, layout)
+    return len(pairs), float(angles.mean()) if len(angles) else 90.0
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +249,10 @@ def avg_adjacent_angle(g: Graph, layout: Layout) -> float | None:
     u1 = c[a] - c[v]
     u2 = c[b] - c[v]
     norms = np.hypot(u1[:, 0], u1[:, 1]) * np.hypot(u2[:, 0], u2[:, 1])
+    angles = _angles(u1[:, 0] * u2[:, 0] + u1[:, 1] * u2[:, 1], norms)
     # A zero-length edge in the drawing leaves the angle undefined: score
     # it 0 (fully folded), and still count the pair.
-    folded = norms == 0.0
-    cosang = (u1[:, 0] * u2[:, 0] + u1[:, 1] * u2[:, 1]) / np.where(folded, 1.0, norms)
-    angles = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-    return float(np.where(folded, 0.0, angles).mean())
+    return float(np.where(norms == 0.0, 0.0, angles).mean())
 
 
 def _adjacent_triples(g: Graph):
@@ -367,12 +373,7 @@ def vertex_distribution(layout: Layout) -> VertexDistribution:
 def compute_metrics(g: Graph, layout: Layout) -> MetricsReport:
     """Full aesthetic scorecard on the normalized layout."""
     norm = normalize_layout(layout)
-    pairs, angles = find_crossings(g, norm)
-    crossings = len(pairs)
-    crossing_angle = float(angles.mean()) if len(angles) else 90.0
-    # The crossing arrays are the largest of the report: free them before
-    # the distance matrix and the adjacent-angle triples are built.
-    del pairs, angles
+    crossings, crossing_angle = _crossing_summary(g, norm)
     vd = vertex_distribution(norm)
     return MetricsReport(
         crossings=crossings,

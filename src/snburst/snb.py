@@ -171,16 +171,17 @@ def _adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def _step(u, adj, ratio):
+def _step(u, adj, log_m, log_mag_prev):
     """One Sync-and-Burst iteration of B layouts from their unit directions
     `u`, (B, 2, n, n) as `layout.pair_directions` gives them.
 
-    `ratio` is the attraction:repulsion magnitude ratio m*M^(-0.1), which
-    depends on the graph and t only, so one value serves the batch; the
-    common factor M is dropped since the output is renormalized anyway.
-    Returns the (B, 2, n) array, each layout renormalized on its own (zero
-    centroid, unit max-extent).
+    The attraction:repulsion magnitude ratio m*M(t-1)^(-0.1) is taken here
+    alone, in log space from log m and log M(t-1); it depends on the graph
+    and t only, so one value serves the batch, and the common factor M is
+    dropped since the output is renormalized anyway.  Returns the (B, 2, n)
+    array, each layout renormalized on its own (zero centroid, unit max-extent).
     """
+    ratio = math.exp(log_m + (ATTRACTION_EXPONENT - 1.0) * log_mag_prev)
     # Force sum per vertex: ratio on adjacent pairs minus 1 on all pairs.
     # u has a zero diagonal, so the i = j terms drop out by themselves.
     f = ratio * np.einsum("ij,bcij->bci", adj, u) - u.sum(axis=3)
@@ -192,16 +193,19 @@ def _step(u, adj, ratio):
 
 
 def snb_step(g: Graph, prev: Layout, magnitude_prev: float, p: SnbParams) -> Layout:
-    """Advance one iteration using the previous iteration's magnitude M(t-1)."""
+    """Advance one iteration using the previous iteration's magnitude M(t-1):
+    the run's own step, bit for bit while log(`magnitude_prev`) is the run's
+    log M(t-1), which fails at M(t-1) = inf (a user-given tiny s) and at t = 1
+    for the 0.2% of edge counts m where log(1/m) != -log m."""
     _require_schedulable(g)
     if len(prev) != g.n:
         raise ValueError("layout size does not match vertex count")
     if not magnitude_prev > 0.0:
         raise ValueError("magnitude_prev must be positive")
-    ratio = g.m * magnitude_prev ** (ATTRACTION_EXPONENT - 1.0)
     pos = np.ascontiguousarray(prev.coords.T)[None]
     u, _ = pair_directions(pos, prev.iteration, PairWorkspace(g.n, (p.seed,)))
-    return Layout(_step(u, _adjacency_matrix(g), ratio)[0].T, prev.iteration + 1)
+    out = _step(u, _adjacency_matrix(g), math.log(g.m), math.log(magnitude_prev))
+    return Layout(out[0].T, prev.iteration + 1)
 
 
 def snb_run(
@@ -232,9 +236,8 @@ def snb_run(
     def positions(pos, ws):
         log_mag_prev = -log_m  # M(0) = 1/m
         for t in range(1, params.total_multiplier * g.n + 1):
-            ratio = math.exp(log_m + (ATTRACTION_EXPONENT - 1.0) * log_mag_prev)
             u, _ = pair_directions(pos, t - 1, ws)
-            pos = _step(u, adj, ratio)
+            pos = _step(u, adj, log_m, log_mag_prev)
             yield pos
             log_mag_prev = log_magnitude(t, g, params)
 

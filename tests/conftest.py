@@ -9,6 +9,25 @@ sys.path.insert(0, str(Path(__file__).parent))
 from snburst import Graph
 
 
+def cycle(n):
+    """The n-cycle 0 - 1 - ... - (n-1) - 0."""
+    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def stub_graph(n, m):
+    """A graph with the requested n and m: the first m pairs (i, j), i < j,
+    in row-major order (the structure does not matter to the schedule)."""
+    edges = []
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if k >= m:
+                break
+            edges.append((i, j))
+            k += 1
+    return Graph(n, tuple(edges))
+
+
 def random_graph(n, m, rng):
     """Uniform random simple graph with exactly m edges."""
     all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

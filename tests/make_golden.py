@@ -51,13 +51,16 @@ JOBS.update(
 )
 
 
+try:
+    from numpy._core import _multiarray_umath as npsimd
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as npsimd
+
+
 def cpu_features() -> list[str]:
-    """The SIMD features numpy detected on this CPU."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_features__
-    return sorted(name for name, present in __cpu_features__.items() if present)
+    """The SIMD features numpy detected on this CPU (less any turned off
+    through NPY_DISABLE_CPU_FEATURES)."""
+    return sorted(name for name, present in npsimd.__cpu_features__.items() if present)
 
 
 def environment() -> dict:
@@ -71,20 +74,26 @@ def _cell(value) -> str:
     return float(value).hex()
 
 
+def layout_bytes(record) -> bytes:
+    """The final and sync-end layout bytes of a record."""
+    sync_end = record.sync_end_layout
+    end = b"no sync end" if sync_end is None else sync_end.coords.tobytes()
+    return record.final_layout.coords.tobytes() + end
+
+
 def record_digest(record) -> str:
     """SHA-256 over the iteration count, the final and sync-end layout
     bytes and the metric scalars."""
     h = hashlib.sha256()
     h.update(f"{record.iterations};".encode())
-    h.update(record.final_layout.coords.tobytes())
-    sync_end = record.sync_end_layout
-    h.update(b"no sync end" if sync_end is None else sync_end.coords.tobytes())
+    h.update(layout_bytes(record))
     for name, value in record.metrics.scalar_row().items():
         h.update(f"{name}={_cell(value)};".encode())
     return h.hexdigest()
 
 
-def job_digest(key: str) -> str:
+def job_record(key: str):
+    """The scored record of job `key`."""
     name, algorithm, seed, lattice = JOBS[key]
     g = GRAPHS[name]()
     seeded = layout_mod.initial_layout
@@ -92,9 +101,13 @@ def job_digest(key: str) -> str:
         start = Layout(lattice_coords(g.n))
         layout_mod.initial_layout = lambda g, seed: start
     try:
-        return record_digest(run_one(g, algorithm, seed))
+        return run_one(g, algorithm, seed)
     finally:
         layout_mod.initial_layout = seeded
+
+
+def job_digest(key: str) -> str:
+    return record_digest(job_record(key))
 
 
 def main():

@@ -14,9 +14,13 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import clustered_connected_graph, random_connected_graph, random_graph
+from conftest import (
+    clustered_connected_graph,
+    random_connected_graph,
+    random_graph,
+    stub_graph,
+)
 from snburst import (
-    Graph,
     Layout,
     SnbParams,
     avg_adjacent_angle,
@@ -47,18 +51,6 @@ def _report(num, desc, passed):
     print(f"\n[criterion {num:2d}] {'PASS' if passed else 'FAIL'}: {desc}")
 
 
-def _stub_graph(n, m):
-    edges = []
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if k >= m:
-                break
-            edges.append((i, j))
-            k += 1
-    return Graph(n, tuple(edges))
-
-
 def test_criterion_01_generator_fidelity():
     desc = "named generators hit the published vertex/edge counts"
     ok = False
@@ -81,7 +73,7 @@ def test_criterion_02_turning_point_identity():
         for _ in range(1000):
             n = rng.randint(3, 200)
             m = rng.randint(n - 1, n * (n - 1) // 2)
-            g = _stub_graph(n, m)
+            g = stub_graph(n, m)
             mtp = turning_point_magnitude(g)
             lhs = 2.0 * mtp**0.9 * m * m
             rhs = mtp * n * (n - 1)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import cycle, stub_graph
 from snburst import (
     DegenerateGraphError,
     Graph,
@@ -17,10 +18,6 @@ from snburst import (
     total_magnitude_curve,
     turning_point_magnitude,
 )
-
-
-def cycle(n):
-    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 C4 = cycle(4)  # n=4, m=4
@@ -45,7 +42,7 @@ class TestMagnitude:
         for _ in range(1000):
             n = rng.randint(2, 60)
             m = rng.randint(1, n * (n - 1) // 2)
-            g = _stub_graph(n, m)
+            g = stub_graph(n, m)
             s = rng.uniform(0.1, 9.9)
             t = rng.randint(1, 10**6)
             p = SnbParams(sync_param=s)
@@ -86,24 +83,11 @@ class TestTurningPoint:
         for _ in range(200):
             n = rng.randint(3, 150)
             m = rng.randint(n - 1, n * (n - 1) // 2)
-            g = _stub_graph(n, m)
+            g = stub_graph(n, m)
             mtp = turning_point_magnitude(g)
             lhs = 2.0 * mtp**0.9 * m**2
             rhs = mtp * n * (n - 1)
             assert lhs == pytest.approx(rhs, rel=1e-9)
-
-
-def _stub_graph(n, m):
-    """A graph with the requested n and m (structure irrelevant for the schedule)."""
-    edges = []
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if k >= m:
-                break
-            edges.append((i, j))
-            k += 1
-    return Graph(n, tuple(edges))
 
 
 class TestCurve:
@@ -121,7 +105,7 @@ class TestCurve:
         for _ in range(50):
             n = rng.randint(3, 40)
             m = rng.randint(n - 1, n * (n - 1) // 2)
-            g = _stub_graph(n, m)
+            g = stub_graph(n, m)
             s = rng.uniform(0.5, 6.0)
             p = SnbParams(sync_param=s, total_multiplier=20)
             rows = total_magnitude_curve(g, p, 20 * n)
