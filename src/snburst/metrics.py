@@ -45,6 +45,20 @@ CROSSING_EPS = 1e-12
 # within 0.2 MB of the pass before the filter.
 CROSSING_BLOCK_PAIRS = 1 << 16
 
+# Adjacent-edge triples per block in avg_adjacent_angle: the consecutive
+# rows (v, p) of triples that fit, at least one row.  A block takes about
+# 15 arrays per triple.  Sweep, in ms per call (median of 11 interleaved
+# calls on 2 shared Xeon cores) and tracemalloc peak in MiB; queen 12x12
+# has 90 K triples and the star K(1,2000) 2.0 M (15.25 MiB of angles):
+#
+#   triples per block      2^11        2^13        2^15        2^16
+#   queen 12x12 SnB        6.8 / 1.2   6.1 / 1.9   6.7 / 4.7   7.1 / 7.5
+#   queen 12x12 FR         7.0 / 1.2   6.3 / 1.9   6.7 / 4.7   7.3 / 7.5
+#   star K(1,2000)         150 / 15.6  123 / 16.4  116 / 19.1  117 / 22.4
+#
+# The whole pass at once took 7.3 ms / 7.7 MiB and 144 ms / 168 MiB.
+ADJACENT_BLOCK_TRIPLES = 1 << 13
+
 # Clamp for a zero-area (collinear) bounding box in vertex_distribution.
 MIN_BOX_SIDE = 1e-9
 
@@ -107,6 +121,26 @@ def find_crossings(g: Graph, layout: Layout):
     sharing a vertex are never counted.  Proper intersections,
     endpoint-on-segment touches and collinear overlaps all count.
 
+    The pairs and angles are those of the `_crossing_blocks` blocks, joined
+    in order.  Only this output grows with the number of crossings, and
+    only `find_crossings` holds it: a random layout of queen 16x16
+    (m = 6320, 4.56 M crossings, 104 MiB of pairs and angles) peaks near
+    0.25 GB, about twice its output, while `compute_metrics` keeps only
+    the angles, once as blocks and once joined, and peaks near 0.11 GB.
+    """
+    pairs, angles = [np.empty((0, 2), dtype=int)], [np.empty(0)]
+    for ii, jj, block_angles in _crossing_blocks(g, layout):
+        pairs.append(np.column_stack([ii, jj]))
+        angles.append(block_angles)
+    pairs = np.concatenate(pairs)  # frees the pair blocks before the angles join
+    return pairs, np.concatenate(angles)
+
+
+def _crossing_blocks(g: Graph, layout: Layout):
+    """Yield (ii, jj, angles) for each row block of edge pairs: the crossing
+    pairs' edge indices ii < jj, in row-major order, and their acute
+    angles (degrees).
+
     Each edge's endpoints, direction b - a, length and CROSSING_EPS-widened
     bounding box are computed once.  The m(m-1)/2 edge pairs are then
     walked in row blocks of edges against all later edges, about
@@ -123,9 +157,7 @@ def find_crossings(g: Graph, layout: Layout):
     and collinear overlaps run only on the pairs with a zero sign that
     share no vertex (a shared endpoint's orientation is exactly 0, so every
     pair sharing a vertex is among the zero-sign pairs).  Working memory is
-    bounded per block and only the output grows with the number of
-    crossings: a random layout of queen 16x16 (m = 6320, 4.56 M crossings)
-    peaks near 0.25 GB, most of it the output.
+    bounded per block.
     """
     m = g.m
     e = np.asarray(g.edges, dtype=np.intp).reshape(m, 2)
@@ -143,7 +175,6 @@ def find_crossings(g: Graph, layout: Layout):
         return (x >= lox[k]) & (x <= hix[k]) & (y >= loy[k]) & (y <= hiy[k])
 
     rows = max(1, CROSSING_BLOCK_PAIRS // max(m, 1))
-    pairs, angles = [np.empty((0, 2), dtype=int)], [np.empty(0)]
     for a in range(0, m - 1, rows):
         b = min(a + rows, m - 1)
         # Block edges i in rows, edges j >= a in columns.  The pairs j > i
@@ -200,10 +231,7 @@ def find_crossings(g: Graph, layout: Layout):
         # the output can take their place in the heap instead of piling up
         # above them (1.3 MB less peak RSS on a random queen 16x16 layout).
         del i, j, dxi, dyi, dxj, dyj, p1, n1, p2, n2, p3, n3, p4, n4, s1, s2, s3, s4, crossing, hit
-        angles.append(_angles(dot, length[ii] * length[jj]))
-        pairs.append(np.column_stack([ii, jj]))
-    pairs = np.concatenate(pairs)  # frees the pair blocks before the angles join
-    return pairs, np.concatenate(angles)
+        yield ii, jj, _angles(dot, length[ii] * length[jj])
 
 
 def _signs(v: np.ndarray):
@@ -219,8 +247,7 @@ def _angles(dot: np.ndarray, norms: np.ndarray) -> np.ndarray:
 
 def count_crossings(g: Graph, layout: Layout) -> int:
     """Number of unordered edge pairs that cross (concurrent crossings count pairwise)."""
-    pairs, _ = find_crossings(g, layout)
-    return len(pairs)
+    return _crossing_summary(g, layout)[0]
 
 
 def avg_crossing_angle(g: Graph, layout: Layout) -> float:
@@ -229,10 +256,15 @@ def avg_crossing_angle(g: Graph, layout: Layout) -> float:
 
 
 def _crossing_summary(g: Graph, layout: Layout) -> tuple[int, float]:
-    """The crossing count and mean angle (90 if planar) of one `find_crossings`
-    pass, whose arrays, the largest of a report, are freed on return."""
-    pairs, angles = find_crossings(g, layout)
-    return len(pairs), float(angles.mean()) if len(angles) else 90.0
+    """The crossing count and mean angle (90 if planar) of one pass over
+    `_crossing_blocks`.  It keeps only the angle blocks, the largest arrays
+    of a report, and joins them into one array, so the mean is numpy's
+    pairwise sum over the same contiguous angles as `find_crossings`
+    returns, bit for bit.  (Summing block by block would move it by an
+    ulp.)  Both are freed on return."""
+    angles = [block for _, _, block in _crossing_blocks(g, layout)]
+    angles = np.concatenate([np.empty(0), *angles])
+    return len(angles), float(angles.mean()) if len(angles) else 90.0
 
 
 # ---------------------------------------------------------------------------
@@ -241,24 +273,42 @@ def _crossing_summary(g: Graph, layout: Layout) -> tuple[int, float]:
 
 def avg_adjacent_angle(g: Graph, layout: Layout) -> float | None:
     """Mean angle (degrees, in [0, 180]) at the shared vertex over all
-    unordered pairs of adjacent edges; None if no two edges share a vertex."""
-    v, a, b = _adjacent_triples(g)
-    if len(v) == 0:
+    unordered pairs of adjacent edges; None if no two edges share a vertex.
+
+    The angles fill one array of length T, the number of pairs, in the
+    blocks of `_adjacent_triples`; its mean is that of the whole array, so
+    the blocks do not show.  Beyond that array, working memory is one
+    block: on the star K(1,2000) (T = 2.0 M, 15.25 MiB of angles) the
+    pass traces 16.4 MiB, where all triples at once took 168 MiB."""
+    total = sum(d * (d - 1) // 2 for d in map(len, g.adjacency))
+    if total == 0:
         return None
     c = layout.coords
-    u1 = c[a] - c[v]
-    u2 = c[b] - c[v]
-    norms = np.hypot(u1[:, 0], u1[:, 1]) * np.hypot(u2[:, 0], u2[:, 1])
-    angles = _angles(u1[:, 0] * u2[:, 0] + u1[:, 1] * u2[:, 1], norms)
-    # A zero-length edge in the drawing leaves the angle undefined: score
-    # it 0 (fully folded), and still count the pair.
-    return float(np.where(norms == 0.0, 0.0, angles).mean())
+    angles = np.empty(total)
+    t = 0
+    for v, a, b in _adjacent_triples(g):
+        u1 = c[a] - c[v]
+        u2 = c[b] - c[v]
+        norms = np.hypot(u1[:, 0], u1[:, 1]) * np.hypot(u2[:, 0], u2[:, 1])
+        # A zero-length edge in the drawing leaves the angle undefined:
+        # score it 0 (fully folded), and still count the pair.
+        angles[t : t + len(v)] = np.where(
+            norms == 0.0, 0.0, _angles(u1[:, 0] * u2[:, 0] + u1[:, 1] * u2[:, 1], norms)
+        )
+        t += len(v)
+    return float(angles.mean())
 
 
 def _adjacent_triples(g: Graph):
-    """Arrays (v, a, b): for each vertex v in order, every pair of its
-    neighbours a before b in adjacency order, as itertools.combinations
-    lists them."""
+    """Yield blocks of arrays (v, a, b): for each vertex v in order, every
+    pair of its neighbours a before b in adjacency order, as
+    itertools.combinations lists them.
+
+    The triples sharing v and a's position p form one row (v, p).  A block
+    is the consecutive rows whose triples fit in ADJACENT_BLOCK_TRIPLES,
+    or one row if its triples alone do not, so no block holds more than
+    max(ADJACENT_BLOCK_TRIPLES, max degree - 1) triples, even when one
+    vertex holds them all, as on a star."""
     deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=g.n)
     nbr = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=2 * g.m)
     first = np.cumsum(deg) - deg
@@ -267,10 +317,16 @@ def _adjacent_triples(g: Graph):
     row_v = np.repeat(np.arange(g.n), row_count)
     row_p = _segment_arange(row_count)
     row_len = deg[row_v] - 1 - row_p
-    v = np.repeat(row_v, row_len)
-    p = np.repeat(row_p, row_len)
-    q = p + 1 + _segment_arange(row_len)
-    return v, nbr[first[v] + p], nbr[first[v] + q]
+    row_end = np.cumsum(row_len)
+    r = 0
+    while r < len(row_len):
+        limit = row_end[r] - row_len[r] + ADJACENT_BLOCK_TRIPLES
+        s = max(r + 1, int(np.searchsorted(row_end, limit, side="right")))
+        v = np.repeat(row_v[r:s], row_len[r:s])
+        p = np.repeat(row_p[r:s], row_len[r:s])
+        q = p + 1 + _segment_arange(row_len[r:s])
+        yield v, nbr[first[v] + p], nbr[first[v] + q]
+        r = s
 
 
 def _segment_arange(lengths: np.ndarray) -> np.ndarray:

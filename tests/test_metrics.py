@@ -1,7 +1,7 @@
 import math
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -156,7 +156,9 @@ class TestCrossingBlocks:
 
     def test_metrics_memory_bounded(self):
         # All m(m-1)/2 = 3.4 M edge pairs of queen 12x12 at once would trace
-        # ~475 MB; in row blocks the peak is the output plus one block.
+        # ~475 MB, and holding find_crossings' pairs and angles twice about
+        # 30 MiB; keeping only the angle blocks and their join, plus one
+        # block, about 12 MiB.
         g = gen_queen(12, 12)
         layout = Layout(np.random.default_rng(0).random((g.n, 2)))
         tracemalloc.start()
@@ -165,7 +167,7 @@ class TestCrossingBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 16 * 2**20
 
 
 class TestCrossingsMatchGatheredPass:
@@ -242,6 +244,32 @@ class TestCrossingsMatchGatheredPass:
             "coincident-lattice-2^30", "integer-grid-2^30", "near-collinear-1e9",
         }
 
+    @pytest.mark.parametrize("rows", [None, 1, 3, 7])
+    def test_report_matches_find_crossings(self, monkeypatch, rows):
+        # compute_metrics keeps only the angle blocks; its count and mean
+        # are bitwise those of find_crossings on the normalized layout.
+        rng = random.Random(8)
+        g = random_graph(16, 50, rng)
+        square = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
+        extra = [
+            ("collinear", g, np.column_stack([np.arange(16.0), 2.0 * np.arange(16.0)])),
+            ("planar", square, np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)),
+            ("coincident", g, np.array([(k % 3, k // 8) for k in range(16)], dtype=float)),
+        ]
+        crossings = {}
+        for kind, g, coords in chain(self.cases(), extra):
+            if rows is not None:
+                monkeypatch.setattr(metrics, "CROSSING_BLOCK_PAIRS", rows * g.m)
+            layout = Layout(coords)
+            norm = layout_mod.normalize_layout(layout)
+            pairs, angles = find_crossings(g, norm)
+            report = compute_metrics(g, layout)
+            assert report.crossings == count_crossings(g, norm) == len(pairs)
+            assert report.avg_crossing_angle == (float(angles.mean()) if len(angles) else 90.0)
+            crossings[kind] = crossings.get(kind, 0) + len(pairs)
+        assert crossings["planar"] == 0
+        assert crossings["collinear"] > 0 and crossings["coincident"] > 0
+
     @pytest.mark.parametrize("edges, coords", [
         ((), [(0, 0), (1, 1), (2, 0), (3, 1)]),
         (((0, 1),), [(0, 0), (1, 1), (2, 0), (3, 1)]),
@@ -302,11 +330,36 @@ class TestAdjacentAngles:
         Graph(3, ()),
     ], ids=["queen", "star-plus", "matching", "edgeless"])
     def test_triples_in_combinations_order(self, g):
-        # The numpy triples list the pairs exactly as combinations does, so
-        # the mean sums the same angles in the same order.
-        v, a, b = metrics._adjacent_triples(g)
+        # The numpy triples, their blocks joined, list the pairs exactly as
+        # combinations does, so the mean sums the same angles in the same
+        # order.
+        v, a, b = np.hstack([np.empty((3, 0), np.intp), *map(np.stack, metrics._adjacent_triples(g))])
         want = [(x, y, z) for x in range(g.n) for y, z in combinations(g.adjacency[x], 2)]
         assert list(zip(v.tolist(), a.tolist(), b.tolist())) == want
+
+    def test_blocks_do_not_show(self, monkeypatch):
+        # One row per block gives the same mean, bit for bit.
+        rng = random.Random(12)
+        graphs = [random_connected_graph(n, min(3 * n, n * (n - 1) // 2), rng) for n in range(3, 40, 3)]
+        graphs += [gen_queen(8, 8), Graph(41, tuple((0, k) for k in range(1, 41)))]
+        layouts = [Layout(random_layout_coords(g.n, rng)) for g in graphs]
+        whole = [avg_adjacent_angle(g, layout) for g, layout in zip(graphs, layouts)]
+        monkeypatch.setattr(metrics, "ADJACENT_BLOCK_TRIPLES", 1)
+        assert [avg_adjacent_angle(g, layout) for g, layout in zip(graphs, layouts)] == whole
+
+    def test_memory_bounded_on_a_star(self):
+        # The star K(1,2000) puts all T = 1 999 000 triples on one vertex:
+        # all at once they traced 168 MiB; in row blocks, the 8 T bytes of
+        # angles plus about 1 MiB.
+        g = Graph(2001, tuple((0, k) for k in range(1, 2001)))
+        layout = Layout(np.random.default_rng(0).random((g.n, 2)))
+        tracemalloc.start()
+        try:
+            avg_adjacent_angle(g, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 1_999_000 + 4 * 2**20
 
 
 class TestLengthsAndDistances:
