@@ -8,7 +8,9 @@ iteration, not once per seed; a single-seed run is the B = 1 case.  Both
 algorithms' schedules depend on the graph and the iteration only, so a
 batch's seeds run in lockstep, and each seed's layouts are bitwise what its
 own run gives.  `PAIR_BLOCK` sizes the batches here and nowhere else; the
-metrics read it for their distance row blocks."""
+metrics read it for their distance row blocks.  The kernel takes the
+coordinate differences as one exact matrix product per batch row and axis,
+which gives the bits of the plain subtraction (see `pair_directions`)."""
 
 from __future__ import annotations
 
@@ -183,11 +185,12 @@ def iterate(
 
 
 # Pair entries (seeds x vertex pairs) one kernel call may cover: `iterate`
-# runs seeds in batches of max(1, PAIR_BLOCK // n^2), so a workspace stays
-# within 32 * PAIR_BLOCK bytes (1.5 MiB) unless one seed needs more.  Set
-# from timed SnB and FR runs at B = 1-4 and n = 100-256 (README, "The
-# pairwise kernel"): batches of up to about this many pair entries ran
-# faster per seed than one seed at a time, larger ones mostly did not.
+# runs seeds in batches of max(1, PAIR_BLOCK // n^2), so a workspace's
+# n x n arrays stay within 32 * PAIR_BLOCK bytes (1.5 MiB) unless one seed
+# needs more.  Set from timed SnB and FR runs at B = 1-4 and n = 100-256
+# (README, "The pairwise kernel"): batches of up to about this many pair
+# entries ran faster per seed than one seed at a time, larger ones mostly
+# did not.
 # `metrics._nearest_vertex_distances` takes its distance rows in blocks of
 # max(1, PAIR_BLOCK // n) vertices under the same budget.
 PAIR_BLOCK = 3 << 14
@@ -203,12 +206,18 @@ class PairWorkspace:
     a (B, n, n) array the kernel uses during a call and leaves to the caller
     between calls (FR builds its force coefficients there).  `d_diagonal`
     and `scratch_diagonal` are writable (B, n) views of the diagonals.
-    `coincident` tells whether the last call took the coincident-pair path.
+    `left` (B, 2, n, 2) and `right` (B, 2, 2, n), 8 B n values more, are the
+    operands whose product is `u`: column 0 of `left` and row 1 of `right`
+    hold 1.0 from here on, and each call writes the positions into the other
+    halves.  `coincident` tells whether the last call took the
+    coincident-pair path.
     """
 
     def __init__(self, n: int, seeds):
         self.seeds = tuple(seeds)
         b = len(self.seeds)
+        self.left = np.ones((b, 2, n, 2))
+        self.right = np.ones((b, 2, 2, n))
         self.u = np.empty((b, 2, n, n))
         self.d = np.empty((b, n, n))
         self.scratch = np.empty((b, n, n))
@@ -237,15 +246,19 @@ def pair_directions(pos: np.ndarray, iteration: int, ws: PairWorkspace):
     negated for (j, i), so the two contributions stay exactly opposite.
     sqrt of the exact sum of squares (not hypot) keeps u bitwise invariant
     under exact power-of-two rescaling of the input.  Every entry depends on
-    its own layout only, so a layout gives the same bits in any batch.
+    its own layout only, so a layout gives the same bits in any batch.  The
+    kernel reads a coordinate of -0.0 as +0.0: its bytes are those of
+    `pos + 0.0`.
     """
     u, d, scratch = ws.u, ws.d, ws.scratch
-    # u[k, c, i, j] = pos[k, c, j] - pos[k, c, i]: copy the rows, then
-    # subtract in place.  One subtract that broadcasts both operands gives
-    # the same bits but runs its inner loop over a stride-0 operand and is
-    # slower.
-    np.copyto(u, pos[:, :, None, :])
-    np.subtract(u, pos[:, :, :, None], out=u)
+    # u[k, c, i, j] = pos[k, c, j] - pos[k, c, i] as the product of the
+    # (n, 2) rows [1, -x_i] and the (2, n) columns [x_j, 1]: both products
+    # are exact and the sum starts from +0, so any BLAS summation order or
+    # FMA gives the rounded difference, the subtraction's own bits, except
+    # that the product never gives -0.0.
+    np.negative(pos, out=ws.left[..., 1])
+    ws.right[:, :, 0, :] = pos
+    np.matmul(ws.left, ws.right, out=u)
     np.square(u[:, 0], out=scratch)
     np.square(u[:, 1], out=d)
     np.add(scratch, d, out=d)
