@@ -8,9 +8,9 @@ iteration, not once per seed; a single-seed run is the B = 1 case.  Both
 algorithms' schedules depend on the graph and the iteration only, so a
 batch's seeds run in lockstep, and each seed's layouts are bitwise what its
 own run gives.  `PAIR_BLOCK` sizes the batches here and nowhere else; the
-metrics read it for their distance row blocks.  The kernel takes the
-coordinate differences as one exact matrix product per batch row and axis,
-which gives the bits of the plain subtraction (see `pair_directions`)."""
+metrics read it for their distance row blocks, and the kernel for the row
+blocks of its one matrix product, which gives the coordinate differences
+with the bits of the plain subtraction (see `pair_directions`)."""
 
 from __future__ import annotations
 
@@ -191,7 +191,8 @@ def iterate(
 # (README, "The pairwise kernel"): batches of up to about this many pair
 # entries ran faster per seed than one seed at a time, larger ones mostly
 # did not.
-# `metrics._nearest_vertex_distances` takes its distance rows in blocks of
+# `metrics._nearest_vertex_distances` takes its distance rows, and
+# `PairWorkspace` the rows of the kernel's difference product, in blocks of
 # max(1, PAIR_BLOCK // n) vertices under the same budget.
 PAIR_BLOCK = 3 << 14
 
@@ -209,8 +210,11 @@ class PairWorkspace:
     `left` (B, 2, n, 2) and `right` (B, 2, 2, n), 8 B n values more, are the
     operands whose product is `u`: column 0 of `left` and row 1 of `right`
     hold 1.0 from here on, and each call writes the positions into the other
-    halves.  `coincident` tells whether the last call took the
-    coincident-pair path.
+    halves.  `blocks` pairs views of the same row block of `left` and `u`,
+    max(1, PAIR_BLOCK // n) rows each, so one block while n^2 <= PAIR_BLOCK:
+    a block's product stays under the size at which OpenBLAS splits a dgemm
+    across threads, which on a busy shared machine waits on the other core.
+    `coincident` tells whether the last call took the coincident-pair path.
     """
 
     def __init__(self, n: int, seeds):
@@ -219,6 +223,10 @@ class PairWorkspace:
         self.left = np.ones((b, 2, n, 2))
         self.right = np.ones((b, 2, 2, n))
         self.u = np.empty((b, 2, n, n))
+        rows = max(1, PAIR_BLOCK // n)
+        self.blocks = [
+            (self.left[:, :, r:r + rows], self.u[:, :, r:r + rows]) for r in range(0, n, rows)
+        ]
         self.d = np.empty((b, n, n))
         self.scratch = np.empty((b, n, n))
         self.d_diagonal = self.d.reshape(b, -1)[:, :: n + 1]
@@ -258,7 +266,8 @@ def pair_directions(pos: np.ndarray, iteration: int, ws: PairWorkspace):
     # that the product never gives -0.0.
     np.negative(pos, out=ws.left[..., 1])
     ws.right[:, :, 0, :] = pos
-    np.matmul(ws.left, ws.right, out=u)
+    for left, out in ws.blocks:
+        np.matmul(left, ws.right, out=out)
     np.square(u[:, 0], out=scratch)
     np.square(u[:, 1], out=d)
     np.add(scratch, d, out=d)
