@@ -196,7 +196,8 @@ def snb_step(g: Graph, prev: Layout, magnitude_prev: float, p: SnbParams) -> Lay
     """Advance one iteration using the previous iteration's magnitude M(t-1):
     the run's own step, bit for bit while log(`magnitude_prev`) is the run's
     log M(t-1), which fails at M(t-1) = inf (a user-given tiny s) and at t = 1
-    for the 0.2% of edge counts m where log(1/m) != -log m."""
+    for the 0.2% of edge counts m where log(1/m) != -log m.  A coordinate of
+    -0.0 in `prev` is read as +0.0 (see `layout.pair_directions`)."""
     _require_schedulable(g)
     if len(prev) != g.n:
         raise ValueError("layout size does not match vertex count")

@@ -63,6 +63,18 @@ def cpu_features() -> list[str]:
     return sorted(name for name, present in npsimd.__cpu_features__.items() if present)
 
 
+def blas() -> str:
+    """The BLAS numpy was built with: its name and version, or on numpy
+    < 1.26, which records no version, its library names."""
+    try:
+        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26: show_config takes no mode
+        get = np.__config__.get_info
+        libs = get("blas_ilp64_opt").get("libraries") or get("blas_opt").get("libraries", [])
+        return f"{' '.join(dict.fromkeys(libs)) or 'unknown'} (version not recorded)"
+    return f"{info['name']} {info.get('version', '')}".rstrip()
+
+
 def environment() -> dict:
     return {"numpy": np.__version__, "simd": cpu_features()}
 

@@ -2,7 +2,8 @@
 `golden/identity.json`: layouts and metrics are bitwise what they were when
 the file was written.  Run in a batch with another seed, or in a later
 batch of the same run, a job still gives its digest.  The layouts are also
-bitwise the same with numpy's AVX-512 kernels turned off."""
+bitwise the same with numpy's AVX-512 kernels turned off, and with
+OpenBLAS's oldest x86-64 dgemm kernel."""
 
 import hashlib
 import json
@@ -121,3 +122,25 @@ def test_layouts_bitwise_across_simd_paths():
     differs = "differs" if got["arccos"] != arccos_digest() else "does not differ"
     print(f"numpy arccos on the grid {differs} between the two processes")
     assert got["layouts"] == layouts_digest()
+
+
+def test_layouts_bitwise_across_blas_kernels():
+    # The pairwise kernel takes its coordinate differences from a dgemm.  A
+    # child process runs every job with OpenBLAS's Prescott kernel (SSE3: no
+    # AVX, no FMA), two BLAS threads allowed; its layouts must match this
+    # process's bit for bit.  A BLAS other than OpenBLAS ignores both
+    # variables, and the two processes then take one kernel.
+    paths = [str(Path(__file__).resolve().parent), str(Path(snburst.__file__).resolve().parents[1])]
+    env = {
+        **os.environ,
+        "OPENBLAS_CORETYPE": "Prescott",
+        "OPENBLAS_NUM_THREADS": "2",
+        "PYTHONPATH": os.pathsep.join(paths),
+    }
+    child = subprocess.run(
+        [sys.executable, "-c", "import test_golden; print(test_golden.layouts_digest())"],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, child.stderr
+    print(f"numpy's BLAS: {make_golden.blas()}; child ran with OPENBLAS_CORETYPE=Prescott")
+    assert child.stdout.strip() == layouts_digest()

@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import make_golden
 import oracles
 from conftest import (
     clustered_connected_graph,
@@ -31,6 +33,29 @@ from snburst import (
 )
 from snburst.layout import PairWorkspace, pair_directions
 from snburst.rng import hash_angle
+
+
+def hard_rows(kind, n, rng):
+    """(2, n) positions: "random", "lattice" (coincident pairs) or one of
+    the hard inputs of the difference build, which have no coincident pair:
+    "shared" (dx or dy is +0.0 off the diagonal), "zeros" (coordinates
+    exactly 0.0), "subnormal" (x of 1e-310 or less on every other vertex)
+    and "magnitudes" (both signs, from 1e-150 to 1e150)."""
+    if kind == "lattice":
+        return lattice_coords(n).T
+    xy = rng.random((2, n))
+    half = n // 2
+    if kind == "shared":
+        xy[0, :half] = rng.integers(0, 4, half) / 4
+        xy[1, half:] = rng.integers(0, 4, n - half) / 4
+    elif kind == "zeros":
+        xy[0, ::2] = 0.0
+        xy[1, 1::2] = 0.0
+    elif kind == "subnormal":
+        xy[0, ::2] *= 1e-310
+    elif kind == "magnitudes":
+        xy *= rng.choice((-1.0, 1.0), (2, n)) * 10.0 ** rng.uniform(-150.0, 150.0, (2, n))
+    return xy
 
 
 def grid_coords(rng, n):
@@ -128,28 +153,82 @@ class TestPairDirections:
         assert not np.array_equal(u[0], u[2])
         assert np.all(d[1] > 0.0)
 
-    @pytest.mark.parametrize("n, lattice", [(200, False), (40, True)])
-    def test_bytes_match_dense_oracle_on_reused_workspace(self, n, lattice):
-        # Benchmark-sized inputs, compared byte for byte so a -0.0 where the
-        # oracle has +0.0 fails too.  The workspace is reused, with FR's
-        # between-call writes (clamped d, filled scratch) left in it.  Both
-        # the one-seed batch and a two-row one run; row 0 is the case's
+    @pytest.mark.parametrize(
+        "n, kind",
+        [
+            pytest.param(200, "random", id="200-False"),
+            pytest.param(40, "lattice", id="40-True"),
+            (300, "random"),
+            (64, "shared"),
+            (64, "zeros"),
+            (64, "subnormal"),
+            (64, "magnitudes"),
+        ],
+    )
+    def test_bytes_match_dense_oracle_on_reused_workspace(self, n, kind):
+        # Benchmark-sized and hard inputs, compared byte for byte so a -0.0
+        # where the oracle has +0.0 fails too; at n = 300 the difference
+        # product runs in two row blocks.  The workspace is reused, with
+        # FR's between-call writes (clamped d, filled scratch) left in it.
+        # Both the one-seed batch and a two-row one run; row 0 is the case's
         # layout, row 1 a random one.
         rng = np.random.default_rng(n)
         for seeds in ((9,), (9, 10)):
             ws = PairWorkspace(n, seeds)
             for iteration in range(3):
-                first = lattice_coords(n).T if lattice else rng.random((2, n))
-                rows = [first] + [rng.random((2, n)) for _ in seeds[1:]]
+                rows = [hard_rows(kind, n, rng)] + [rng.random((2, n)) for _ in seeds[1:]]
                 pos = np.ascontiguousarray(np.stack(rows))
                 u, d = pair_directions(pos, iteration, ws)
-                assert ws.coincident is lattice
+                assert ws.coincident is (kind == "lattice")
                 for k, seed in enumerate(seeds):
                     want_u, want_d = oracles.dense_pair_directions(pos[k], iteration, seed)
                     assert u[k].tobytes() == want_u.tobytes()
                     assert d[k].tobytes() == want_d.tobytes()
                 d[d == 0.0] = 1e-9
                 ws.scratch.fill(np.nan)
+
+    def test_negative_zero_reads_as_positive_zero(self):
+        # x_j = -0.0 and x_i = +0.0 subtract to -0.0; the kernel's product
+        # gives +0.0 there, the bits of the same input with its zeros made +0.0.
+        rng = np.random.default_rng(5)
+        pos = rng.random((2, 2, 24))
+        pos[:, 0, ::3] = -0.0
+        pos[:, 0, 1::3] = 0.0
+        pos[:, 1, 2::4] = -0.0
+        assert oracles.dense_pair_directions(pos[0], 0, 9)[0].tobytes() != (
+            oracles.dense_pair_directions(pos[0] + 0.0, 0, 9)[0].tobytes()
+        )
+        u, d = pair_directions(pos, 0, PairWorkspace(24, (9, 10)))
+        for k, seed in enumerate((9, 10)):
+            want_u, want_d = oracles.dense_pair_directions(pos[k] + 0.0, 0, seed)
+            assert u[k].tobytes() == want_u.tobytes()
+            assert d[k].tobytes() == want_d.tobytes()
+
+    def test_golden_layouts_hold_no_negative_zero(self):
+        # The kernel reads -0.0 as +0.0 (see above); its runs give the
+        # subtraction's layouts because their positions never hold -0.0.
+        for key in make_golden.JOBS:
+            record = make_golden.job_record(key)
+            for layout in (record.final_layout, record.sync_end_layout):
+                if layout is not None:
+                    coords = layout.coords
+                    assert not np.any((coords == 0.0) & np.signbit(coords)), key
+
+    def test_reused_workspace_allocates_no_pair_array(self):
+        # A matmul that fell back to a (B, 2, n, n) temporary would trace
+        # 2.5 MB per call here.
+        n = 400
+        pos = np.random.default_rng(1).random((1, 2, n))
+        ws = PairWorkspace(n, (1,))
+        pair_directions(pos, 0, ws)
+        tracemalloc.start()
+        try:
+            for iteration in range(5):
+                pair_directions(pos, iteration, ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestStep:
