@@ -16,7 +16,7 @@ import click
 
 from . import bench as bench_mod
 from .fr import FrParams, fr_run
-from .graphs import GENERATORS, GraphError, ParseError, write_edge_list, write_graphml
+from .graphs import GENERATORS, GraphError, write_edge_list, write_graphml
 from .layout import DegenerateGraphError, DegenerateLayoutError, NumericError
 from .metrics import compute_metrics
 from .render import (
@@ -57,6 +57,15 @@ def _snb_params(g, sync_param, **kwargs) -> SnbParams:
         return SnbParams(sync_param=s, **kwargs)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
+
+
+def _emit(text: str, output: str | None) -> None:
+    """Write `text` to the file `output` and say so, or echo it if none."""
+    if output:
+        Path(output).write_text(text, encoding="utf-8")
+        click.echo(f"wrote {output}")
+    else:
+        click.echo(text, nl=False)
 
 
 @cli.command("layout")
@@ -101,21 +110,13 @@ def cmd_metrics(graph_file, layout_csv, fmt, output):
     """Compute the aesthetic scorecard of LAYOUT_CSV for GRAPH_FILE."""
     g = bench_mod.load_graph_file(graph_file)
     layout = read_layout_csv(Path(layout_csv).read_text(encoding="utf-8-sig"))
-    if len(layout) != g.n:
-        raise ParseError(
-            f"layout has {len(layout)} vertices but the graph has {g.n}"
-        )
     report = compute_metrics(g, layout)
     if fmt == "json":
         text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     else:
         row = report.scalar_row()
         text = csv_text(row.keys(), [row.values()])
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-        click.echo(f"wrote {output}")
-    else:
-        click.echo(text, nl=False)
+    _emit(text, output)
 
 
 @cli.command("bench")
@@ -157,12 +158,7 @@ def cmd_curve(graph_file, t_max, sync_param, output):
     if t_max is None:
         t_max = params.total_multiplier * g.n
     rows = total_magnitude_curve(g, params, t_max)
-    text = magnitude_curve_to_csv(rows)
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-        click.echo(f"wrote {output}")
-    else:
-        click.echo(text, nl=False)
+    _emit(magnitude_curve_to_csv(rows), output)
 
 
 @cli.command("generate")

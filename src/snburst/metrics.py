@@ -45,18 +45,19 @@ CROSSING_EPS = 1e-12
 # within 0.2 MB of the pass before the filter.
 CROSSING_BLOCK_PAIRS = 1 << 16
 
-# Adjacent-edge triples per block in avg_adjacent_angle: the consecutive
-# rows (v, p) of triples that fit, at least one row.  A block takes about
-# 15 arrays per triple.  Sweep, in ms per call (median of 11 interleaved
-# calls on 2 shared Xeon cores) and tracemalloc peak in MiB; queen 12x12
-# has 90 K triples and the star K(1,2000) 2.0 M (15.25 MiB of angles):
+# Adjacent-edge pairs (triples v, a, b) per block in avg_adjacent_angle:
+# the consecutive slot rows of pairs that fit, at least one row.  A block
+# takes about 7 arrays per pair.  Sweep, in ms per call (median of 11
+# interleaved calls on 2 shared Xeon cores) and tracemalloc peak in MiB;
+# queen 12x12 has 90 K pairs and the star K(1,2000) 2.0 M (15.25 MiB of
+# angles):
 #
-#   triples per block      2^11        2^13        2^15        2^16
-#   queen 12x12 SnB        6.8 / 1.2   6.1 / 1.9   6.7 / 4.7   7.1 / 7.5
-#   queen 12x12 FR         7.0 / 1.2   6.3 / 1.9   6.7 / 4.7   7.3 / 7.5
-#   star K(1,2000)         150 / 15.6  123 / 16.4  116 / 19.1  117 / 22.4
+#   pairs per block        2^11        2^13        2^15        2^16
+#   queen 12x12 SnB        2.3 / 1.1   1.6 / 1.4   1.5 / 2.9   1.4 / 4.0
+#   queen 12x12 FR         2.3 / 1.1   1.6 / 1.4   1.5 / 2.9   1.4 / 4.0
+#   star K(1,2000)          47 / 15.6   28 / 16.0   26 / 17.5   24 / 19.0
 #
-# The whole pass at once took 7.3 ms / 7.7 MiB and 144 ms / 168 MiB.
+# The whole pass at once took 1.4-2.5 ms / 5.2 MiB and 37 ms / 109 MiB.
 ADJACENT_BLOCK_TRIPLES = 1 << 13
 
 # Clamp for a zero-area (collinear) bounding box in vertex_distribution.
@@ -275,58 +276,54 @@ def avg_adjacent_angle(g: Graph, layout: Layout) -> float | None:
     """Mean angle (degrees, in [0, 180]) at the shared vertex over all
     unordered pairs of adjacent edges; None if no two edges share a vertex.
 
-    The angles fill one array of length T, the number of pairs, in the
-    blocks of `_adjacent_triples`; its mean is that of the whole array, so
-    the blocks do not show.  Beyond that array, working memory is one
-    block: on the star K(1,2000) (T = 2.0 M, 15.25 MiB of angles) the
-    pass traces 16.4 MiB, where all triples at once took 168 MiB."""
-    total = sum(d * (d - 1) // 2 for d in map(len, g.adjacency))
+    Slot k, the k-th entry of the joined adjacency lists, is an edge end:
+    its vector, neighbour minus owner, and length are computed once.  The
+    angles of the slot pairs fill one array of length T in the blocks of
+    `_adjacent_pairs`; its mean is that of the whole array, so the blocks
+    do not show.  Beyond that array, working memory is one block: on the
+    star K(1,2000) (T = 2.0 M, 15.25 MiB of angles) the pass traces
+    16.0 MiB, where all pairs at once take 109 MiB."""
+    deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=g.n)
+    total = int((deg * (deg - 1) // 2).sum())
     if total == 0:
         return None
+    nbr = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=2 * g.m)
     c = layout.coords
+    wx, wy = (c[nbr] - c[np.repeat(np.arange(g.n), deg)]).T
+    h = np.hypot(wx, wy)
     angles = np.empty(total)
-    t = 0
-    for v, a, b in _adjacent_triples(g):
-        u1 = c[a] - c[v]
-        u2 = c[b] - c[v]
-        norms = np.hypot(u1[:, 0], u1[:, 1]) * np.hypot(u2[:, 0], u2[:, 1])
+    k = 0
+    for s, t in _adjacent_pairs(deg):
+        norms = h[s] * h[t]
         # A zero-length edge in the drawing leaves the angle undefined:
         # score it 0 (fully folded), and still count the pair.
-        angles[t : t + len(v)] = np.where(
-            norms == 0.0, 0.0, _angles(u1[:, 0] * u2[:, 0] + u1[:, 1] * u2[:, 1], norms)
+        angles[k : k + len(s)] = np.where(
+            norms == 0.0, 0.0, _angles(wx[s] * wx[t] + wy[s] * wy[t], norms)
         )
-        t += len(v)
+        k += len(s)
     return float(angles.mean())
 
 
-def _adjacent_triples(g: Graph):
-    """Yield blocks of arrays (v, a, b): for each vertex v in order, every
-    pair of its neighbours a before b in adjacency order, as
+def _adjacent_pairs(deg: np.ndarray):
+    """Yield blocks of slot arrays (s, t), for vertex degrees `deg`: for
+    each vertex in order, every pair of its slots s < t, as
     itertools.combinations lists them.
 
-    The triples sharing v and a's position p form one row (v, p).  A block
-    is the consecutive rows whose triples fit in ADJACENT_BLOCK_TRIPLES,
-    or one row if its triples alone do not, so no block holds more than
-    max(ADJACENT_BLOCK_TRIPLES, max degree - 1) triples, even when one
-    vertex holds them all, as on a star."""
-    deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=g.n)
-    nbr = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=2 * g.m)
-    first = np.cumsum(deg) - deg
-    # One row per (v, p): neighbour p of v, against the q > p after it.
-    row_count = np.maximum(deg - 1, 0)
-    row_v = np.repeat(np.arange(g.n), row_count)
-    row_p = _segment_arange(row_count)
-    row_len = deg[row_v] - 1 - row_p
+    The pairs sharing slot s form its row, of length end(v) - 1 - s for
+    its owner v.  A block is the consecutive rows whose pairs fit in
+    ADJACENT_BLOCK_TRIPLES, or one row if its pairs alone do not, so no
+    block holds more than max(ADJACENT_BLOCK_TRIPLES, max degree - 1)
+    pairs, even when one vertex holds them all, as on a star."""
+    end = np.cumsum(deg)
+    row_len = np.repeat(end, deg) - 1 - np.arange(deg.sum())
     row_end = np.cumsum(row_len)
     r = 0
     while r < len(row_len):
         limit = row_end[r] - row_len[r] + ADJACENT_BLOCK_TRIPLES
-        s = max(r + 1, int(np.searchsorted(row_end, limit, side="right")))
-        v = np.repeat(row_v[r:s], row_len[r:s])
-        p = np.repeat(row_p[r:s], row_len[r:s])
-        q = p + 1 + _segment_arange(row_len[r:s])
-        yield v, nbr[first[v] + p], nbr[first[v] + q]
-        r = s
+        stop = max(r + 1, int(np.searchsorted(row_end, limit, side="right")))
+        s = np.repeat(np.arange(r, stop), row_len[r:stop])
+        yield s, s + 1 + _segment_arange(row_len[r:stop])
+        r = stop
 
 
 def _segment_arange(lengths: np.ndarray) -> np.ndarray:
@@ -427,7 +424,10 @@ def vertex_distribution(layout: Layout) -> VertexDistribution:
 
 
 def compute_metrics(g: Graph, layout: Layout) -> MetricsReport:
-    """Full aesthetic scorecard on the normalized layout."""
+    """Full aesthetic scorecard on the normalized layout, which must have
+    one row per vertex of g (ValueError otherwise)."""
+    if len(layout) != g.n:
+        raise ValueError(f"layout has {len(layout)} vertices but the graph has {g.n}")
     norm = normalize_layout(layout)
     crossings, crossing_angle = _crossing_summary(g, norm)
     vd = vertex_distribution(norm)

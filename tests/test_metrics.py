@@ -24,6 +24,7 @@ from snburst import (
     find_crossings,
     fr_run,
     gen_queen,
+    gen_wagner,
     min_pair_distance_scaled,
     snb_run,
     vertex_distribution,
@@ -330,19 +331,28 @@ class TestAdjacentAngles:
         Graph(3, ()),
     ], ids=["queen", "star-plus", "matching", "edgeless"])
     def test_triples_in_combinations_order(self, g):
-        # The numpy triples, their blocks joined, list the pairs exactly as
-        # combinations does, so the mean sums the same angles in the same
-        # order.
-        v, a, b = np.hstack([np.empty((3, 0), np.intp), *map(np.stack, metrics._adjacent_triples(g))])
-        want = [(x, y, z) for x in range(g.n) for y, z in combinations(g.adjacency[x], 2)]
-        assert list(zip(v.tolist(), a.tolist(), b.tolist())) == want
+        # The slot pairs, their blocks joined and each slot read as its
+        # (owner, neighbour), list the pairs exactly as combinations does,
+        # so the mean sums the same angles in the same order.
+        deg = np.array([len(nb) for nb in g.adjacency], dtype=np.intp)
+        owner = np.repeat(np.arange(g.n), deg)
+        nbr = np.array([w for nb in g.adjacency for w in nb], dtype=np.intp)
+        s, t = np.hstack([np.empty((2, 0), np.intp), *map(np.stack, metrics._adjacent_pairs(deg))])
+        got = zip(owner[s].tolist(), owner[t].tolist(), nbr[s].tolist(), nbr[t].tolist())
+        want = [(x, x, y, z) for x in range(g.n) for y, z in combinations(g.adjacency[x], 2)]
+        assert list(got) == want
 
     def test_blocks_do_not_show(self, monkeypatch):
-        # One row per block gives the same mean, bit for bit.
+        # One row per block gives the same mean, bit for bit.  The last
+        # graph has isolated vertices (7, 8), pendant ones (zero-length
+        # slot rows) and a zero-length edge 0-4.
         rng = random.Random(12)
         graphs = [random_connected_graph(n, min(3 * n, n * (n - 1) // 2), rng) for n in range(3, 40, 3)]
         graphs += [gen_queen(8, 8), Graph(41, tuple((0, k) for k in range(1, 41)))]
-        layouts = [Layout(random_layout_coords(g.n, rng)) for g in graphs]
+        graphs += [Graph(9, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (4, 5), (4, 6)))]
+        coords = [random_layout_coords(g.n, rng) for g in graphs]
+        coords[-1][4] = coords[-1][0]
+        layouts = [Layout(c) for c in coords]
         whole = [avg_adjacent_angle(g, layout) for g, layout in zip(graphs, layouts)]
         monkeypatch.setattr(metrics, "ADJACENT_BLOCK_TRIPLES", 1)
         assert [avg_adjacent_angle(g, layout) for g, layout in zip(graphs, layouts)] == whole
@@ -502,6 +512,15 @@ class TestReport:
         assert r.to_json_dict()["edge_length_stdev"] is None
         with pytest.raises(ValueError, match="no edges"):
             edge_length_stdev(g, layout)
+
+    @pytest.mark.parametrize("rows", [9, 7])
+    def test_layout_size_must_match(self, rows):
+        # One row too many would score a ninth vertex; one too few would
+        # fail inside the pass.  Both are refused up front.
+        g = gen_wagner()
+        layout = Layout(random_layout_coords(rows, random.Random(rows)))
+        with pytest.raises(ValueError, match=f"layout has {rows} vertices but the graph has 8"):
+            compute_metrics(g, layout)
 
     def test_similarity_invariance(self):
         # compute_metrics normalizes first, so scale/translation is a no-op.
