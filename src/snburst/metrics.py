@@ -49,13 +49,12 @@ CROSSING_BLOCK_PAIRS = 1 << 16
 # the consecutive slot rows of pairs that fit, at least one row.  A block
 # takes about 7 arrays per pair.  Sweep, in ms per call (median of 11
 # interleaved calls on 2 shared Xeon cores) and tracemalloc peak in MiB;
-# queen 12x12 has 90 K pairs and the star K(1,2000) 2.0 M (15.25 MiB of
-# angles):
+# queen 12x12 has 90 K pairs and the star K(1,2000) 2.0 M:
 #
 #   pairs per block        2^11        2^13        2^15        2^16
-#   queen 12x12 SnB        2.3 / 1.1   1.6 / 1.4   1.5 / 2.9   1.4 / 4.0
-#   queen 12x12 FR         2.3 / 1.1   1.6 / 1.4   1.5 / 2.9   1.4 / 4.0
-#   star K(1,2000)          47 / 15.6   28 / 16.0   26 / 17.5   24 / 19.0
+#   queen 12x12 SnB        4.6 / 0.4   2.9 / 0.9   4.1 / 2.8   5.0 / 3.7
+#   queen 12x12 FR         4.8 / 0.4   3.0 / 0.9   4.0 / 2.8   5.2 / 3.7
+#   star K(1,2000)          82 / 0.4    52 / 0.9    46 / 2.8    79 / 4.8
 #
 # The whole pass at once took 1.4-2.5 ms / 5.2 MiB and 37 ms / 109 MiB.
 ADJACENT_BLOCK_TRIPLES = 1 << 13
@@ -126,8 +125,8 @@ def find_crossings(g: Graph, layout: Layout):
     in order.  Only this output grows with the number of crossings, and
     only `find_crossings` holds it: a random layout of queen 16x16
     (m = 6320, 4.56 M crossings, 104 MiB of pairs and angles) peaks near
-    0.25 GB, about twice its output, while `compute_metrics` keeps only
-    the angles, once as blocks and once joined, and peaks near 0.11 GB.
+    0.25 GB, about twice its output, while `compute_metrics` scores each
+    block as it comes and holds one block at a time.
     """
     pairs, angles = [np.empty((0, 2), dtype=int)], [np.empty(0)]
     for ii, jj, block_angles in _crossing_blocks(g, layout):
@@ -258,14 +257,56 @@ def avg_crossing_angle(g: Graph, layout: Layout) -> float:
 
 def _crossing_summary(g: Graph, layout: Layout) -> tuple[int, float]:
     """The crossing count and mean angle (90 if planar) of one pass over
-    `_crossing_blocks`.  It keeps only the angle blocks, the largest arrays
-    of a report, and joins them into one array, so the mean is numpy's
-    pairwise sum over the same contiguous angles as `find_crossings`
-    returns, bit for bit.  (Summing block by block would move it by an
-    ulp.)  Both are freed on return."""
-    angles = [block for _, _, block in _crossing_blocks(g, layout)]
-    angles = np.concatenate([np.empty(0), *angles])
-    return len(angles), float(angles.mean()) if len(angles) else 90.0
+    `_crossing_blocks`.  Each angle block goes to `_exact_mean` as it
+    comes, so no more than a block of angles is held at a time."""
+    count, mean = _exact_mean(angles for _, _, angles in _crossing_blocks(g, layout))
+    return count, 90.0 if mean is None else mean
+
+
+def _exact_mean(blocks) -> tuple[int, float | None]:
+    """The number of values in `blocks`, 1-D float64 arrays of values in
+    [0, 180], and their mean: the float nearest to their exact sum over
+    that number (None if there are none; NaN if a value is NaN).
+
+    The mean does not depend on how the values are split into blocks, nor
+    on numpy's summation order.  Each block is cut into digits of
+    `_digit_bits` bits, from its largest value down: a digit is the floor
+    of the values scaled by a power of two, the scaled remainders go on to
+    the next digit, and every scaling and subtraction is exact.  A digit's
+    sum is an exact float64, and it joins the running total, an integer
+    in units of 2^-1074, the smallest subnormal, so that total is the
+    exact sum.  A block takes at most one digit per `_digit_bits` bits
+    from its largest value's top bit to the lowest set bit of any of its
+    values: two digits for each block of crossing or adjacent angles on
+    the SnB, FR and random queen 12x12 layouts and the SnB queen 16x16
+    layout measured.  That is about 6 ns per value (13 ms for 2.16 M
+    crossing angles, where numpy's mean takes 1.2 ms) on 2 shared Xeon
+    cores."""
+    count, total, nan = 0, 0, False
+    for x in blocks:
+        count += len(x)
+        bits = _digit_bits(len(x))
+        s, q = x, 0  # remainders in units of 2^q
+        while (peak := float(s.max(initial=0.0))) > 0.0:
+            # The next digit's unit: the remainders scaled below 2^bits,
+            # never below the smallest subnormal, by a factor a float holds.
+            k = min(bits - math.frexp(peak)[1], q + 1074, 1023)
+            s = np.multiply(s, 2.0**k, out=None if s is x else s)
+            q -= k
+            digit = np.floor(s)
+            total += int(digit.sum()) << (q + 1074)
+            s -= digit
+        nan |= peak != peak
+    if count == 0:
+        return 0, None
+    return count, math.nan if nan else total / (count << 1074)
+
+
+def _digit_bits(count: int) -> int:
+    """Bits per digit in `_exact_mean` for a block of `count` values:
+    `count` digits below 2^bits sum below 2^53, so float64 adds them
+    exactly in any order."""
+    return 53 - count.bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -278,30 +319,24 @@ def avg_adjacent_angle(g: Graph, layout: Layout) -> float | None:
 
     Slot k, the k-th entry of the joined adjacency lists, is an edge end:
     its vector, neighbour minus owner, and length are computed once.  The
-    angles of the slot pairs fill one array of length T in the blocks of
-    `_adjacent_pairs`; its mean is that of the whole array, so the blocks
-    do not show.  Beyond that array, working memory is one block: on the
-    star K(1,2000) (T = 2.0 M, 15.25 MiB of angles) the pass traces
-    16.0 MiB, where all pairs at once take 109 MiB."""
+    angles of the slot pairs are taken in the blocks of `_adjacent_pairs`
+    and added to `_exact_mean` one block at a time, so working memory is
+    one block: on the star K(1,2000) (T = 2.0 M pairs, whose angles alone
+    would take 15.25 MiB) the pass traces 0.85 MiB, where all pairs at
+    once take 109 MiB."""
     deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=g.n)
-    total = int((deg * (deg - 1) // 2).sum())
-    if total == 0:
-        return None
     nbr = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=2 * g.m)
     c = layout.coords
     wx, wy = (c[nbr] - c[np.repeat(np.arange(g.n), deg)]).T
     h = np.hypot(wx, wy)
-    angles = np.empty(total)
-    k = 0
-    for s, t in _adjacent_pairs(deg):
+
+    def angles(s, t):
         norms = h[s] * h[t]
         # A zero-length edge in the drawing leaves the angle undefined:
         # score it 0 (fully folded), and still count the pair.
-        angles[k : k + len(s)] = np.where(
-            norms == 0.0, 0.0, _angles(wx[s] * wx[t] + wy[s] * wy[t], norms)
-        )
-        k += len(s)
-    return float(angles.mean())
+        return np.where(norms == 0.0, 0.0, _angles(wx[s] * wx[t] + wy[s] * wy[t], norms))
+
+    return _exact_mean(angles(s, t) for s, t in _adjacent_pairs(deg))[1]
 
 
 def _adjacent_pairs(deg: np.ndarray):

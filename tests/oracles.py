@@ -3,10 +3,11 @@
 Everything here but the last section deliberately avoids the implementation
 routes used by the package: betweenness by full shortest-path enumeration,
 crossings by parametric line intersection, nearest-neighbor distances via a
-KD-tree, angles via atan2 differences.  The last two sections instead freeze
-earlier versions of the package's own code as bitwise references for its
-fast paths: the dense iterations, one fresh array per operation, and the
-crossing pass that gathers the endpoints of every candidate pair.
+KD-tree, angles via atan2 differences, means via exact fractions.  The
+last two sections instead freeze earlier versions of the package's own code
+as bitwise references for its fast paths: the dense iterations, one fresh
+array per operation, the crossing pass that gathers the endpoints of every
+candidate pair and the adjacent-angle pass over all pairs at once.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter, deque
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -277,6 +279,13 @@ def avg_adjacent_angle(g, coords):
     return sum(angles) / len(angles)
 
 
+def exact_mean(values):
+    """The mean of float `values`, rounded once: the float nearest to
+    their exact sum over their number (None if there are none)."""
+    values = [Fraction(v) for v in np.asarray(values, dtype=float).tolist()]
+    return float(sum(values, Fraction(0)) / len(values)) if values else None
+
+
 def edge_length_stdev(g, coords):
     lengths = [
         math.dist(coords[u], coords[v]) for u, v in g.edges
@@ -445,3 +454,22 @@ def _gathered_crossing_pairs_among(e, c, ii, jj):
     denom = np.where(nu * nv == 0.0, 1.0, nu * nv)
     angles = np.degrees(np.arccos(np.clip(dot / denom, -1.0, 1.0)))
     return np.column_stack([ii, jj]), angles
+
+
+# ---------------------------------------------------------------------------
+# Frozen adjacent-angle pass: a bitwise reference for the angles that
+# avg_adjacent_angle scores, all pairs at once.
+
+
+def gathered_adjacent_angles(g, coords):
+    """Every adjacent-edge pair's angle (degrees) in one array, in
+    itertools.combinations order, as avg_adjacent_angle's blocks give
+    them: both edge vectors from the shared vertex, their hypot lengths,
+    one arccos, and 0 where an edge has zero length."""
+    triples = [(v, a, b) for v in range(g.n) for a, b in combinations(g.adjacency[v], 2)]
+    v, a, b = np.array(triples, dtype=np.intp).reshape(-1, 3).T
+    ua, ub = coords[a] - coords[v], coords[b] - coords[v]
+    norms = np.hypot(ua[:, 0], ua[:, 1]) * np.hypot(ub[:, 0], ub[:, 1])
+    dot = ua[:, 0] * ub[:, 0] + ua[:, 1] * ub[:, 1]
+    denom = np.where(norms == 0.0, 1.0, norms)
+    return np.where(norms == 0.0, 0.0, np.degrees(np.arccos(np.clip(dot / denom, -1.0, 1.0))))

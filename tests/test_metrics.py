@@ -158,8 +158,9 @@ class TestCrossingBlocks:
     def test_metrics_memory_bounded(self):
         # All m(m-1)/2 = 3.4 M edge pairs of queen 12x12 at once would trace
         # ~475 MB, and holding find_crossings' pairs and angles twice about
-        # 30 MiB; keeping only the angle blocks and their join, plus one
-        # block, about 12 MiB.
+        # 30 MiB; keeping the 779 K angles, as blocks and joined, about
+        # 12 MiB.  Scoring one block at a time traces about 4 MiB, nothing
+        # of it growing with the number of crossings.
         g = gen_queen(12, 12)
         layout = Layout(np.random.default_rng(0).random((g.n, 2)))
         tracemalloc.start()
@@ -168,7 +169,7 @@ class TestCrossingBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 6 * 2**20
 
 
 class TestCrossingsMatchGatheredPass:
@@ -247,8 +248,9 @@ class TestCrossingsMatchGatheredPass:
 
     @pytest.mark.parametrize("rows", [None, 1, 3, 7])
     def test_report_matches_find_crossings(self, monkeypatch, rows):
-        # compute_metrics keeps only the angle blocks; its count and mean
-        # are bitwise those of find_crossings on the normalized layout.
+        # compute_metrics scores the angle blocks as they come; its count
+        # is that of find_crossings on the normalized layout, and its mean
+        # the exact mean of those angles, rounded once, at any block size.
         rng = random.Random(8)
         g = random_graph(16, 50, rng)
         square = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
@@ -266,7 +268,7 @@ class TestCrossingsMatchGatheredPass:
             pairs, angles = find_crossings(g, norm)
             report = compute_metrics(g, layout)
             assert report.crossings == count_crossings(g, norm) == len(pairs)
-            assert report.avg_crossing_angle == (float(angles.mean()) if len(angles) else 90.0)
+            assert report.avg_crossing_angle == (oracles.exact_mean(angles) if len(angles) else 90.0)
             crossings[kind] = crossings.get(kind, 0) + len(pairs)
         assert crossings["planar"] == 0
         assert crossings["collinear"] > 0 and crossings["coincident"] > 0
@@ -332,8 +334,8 @@ class TestAdjacentAngles:
     ], ids=["queen", "star-plus", "matching", "edgeless"])
     def test_triples_in_combinations_order(self, g):
         # The slot pairs, their blocks joined and each slot read as its
-        # (owner, neighbour), list the pairs exactly as combinations does,
-        # so the mean sums the same angles in the same order.
+        # (owner, neighbour), list the pairs exactly as combinations does:
+        # every pair once, in the order of the gathered oracle.
         deg = np.array([len(nb) for nb in g.adjacency], dtype=np.intp)
         owner = np.repeat(np.arange(g.n), deg)
         nbr = np.array([w for nb in g.adjacency for w in nb], dtype=np.intp)
@@ -343,24 +345,30 @@ class TestAdjacentAngles:
         assert list(got) == want
 
     def test_blocks_do_not_show(self, monkeypatch):
-        # One row per block gives the same mean, bit for bit.  The last
-        # graph has isolated vertices (7, 8), pendant ones (zero-length
-        # slot rows) and a zero-length edge 0-4.
+        # At the default, 1 and 7 pairs per block the mean is the same:
+        # that of every pair's angle, summed exactly and rounded once.  The
+        # graphs include a star, one with isolated vertices (7, 8), pendant
+        # ones (zero-length slot rows) and a zero-length edge 0-4, and a
+        # queen on a 3 x 3 lattice, where many pairs fold to 0 or open to
+        # 180 degrees.
         rng = random.Random(12)
         graphs = [random_connected_graph(n, min(3 * n, n * (n - 1) // 2), rng) for n in range(3, 40, 3)]
         graphs += [gen_queen(8, 8), Graph(41, tuple((0, k) for k in range(1, 41)))]
         graphs += [Graph(9, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (4, 5), (4, 6)))]
         coords = [random_layout_coords(g.n, rng) for g in graphs]
         coords[-1][4] = coords[-1][0]
-        layouts = [Layout(c) for c in coords]
-        whole = [avg_adjacent_angle(g, layout) for g, layout in zip(graphs, layouts)]
-        monkeypatch.setattr(metrics, "ADJACENT_BLOCK_TRIPLES", 1)
-        assert [avg_adjacent_angle(g, layout) for g, layout in zip(graphs, layouts)] == whole
+        graphs.append(gen_queen(5, 5))
+        coords.append(np.array([(rng.randrange(3), rng.randrange(3)) for _ in range(25)], dtype=float))
+        want = [oracles.exact_mean(oracles.gathered_adjacent_angles(g, c)) for g, c in zip(graphs, coords)]
+        for budget in (metrics.ADJACENT_BLOCK_TRIPLES, 1, 7):
+            monkeypatch.setattr(metrics, "ADJACENT_BLOCK_TRIPLES", budget)
+            assert [avg_adjacent_angle(g, Layout(c)) for g, c in zip(graphs, coords)] == want
 
     def test_memory_bounded_on_a_star(self):
         # The star K(1,2000) puts all T = 1 999 000 triples on one vertex:
-        # all at once they traced 168 MiB; in row blocks, the 8 T bytes of
-        # angles plus about 1 MiB.
+        # all at once they traced 168 MiB, and their angles alone take
+        # 15.25 MiB.  Scored one row block at a time, the pass traces about
+        # 1 MiB, whatever T.
         g = Graph(2001, tuple((0, k) for k in range(1, 2001)))
         layout = Layout(np.random.default_rng(0).random((g.n, 2)))
         tracemalloc.start()
@@ -369,7 +377,82 @@ class TestAdjacentAngles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 1_999_000 + 4 * 2**20
+        assert peak < 4 * 2**20
+
+
+class TestExactMean:
+    """metrics._exact_mean: the count of the values in its blocks and
+    their mean, the float nearest to their exact sum over their count."""
+
+    @staticmethod
+    def check(*blocks):
+        blocks = [np.asarray(b, dtype=float) for b in blocks]
+        values = np.concatenate([np.empty(0), *blocks])
+        got = metrics._exact_mean(iter(blocks))
+        assert got == (len(values), oracles.exact_mean(values))
+        return got[1]
+
+    def test_empty(self):
+        assert metrics._exact_mean([]) == (0, None)
+        assert self.check([], []) is None
+        # The metrics keep their values for no crossings and no adjacent
+        # pairs.
+        g = Graph(4, ((0, 1), (2, 3)))
+        layout = L((0, 0), (1, 0), (0, 1), (1, 1))
+        assert avg_crossing_angle(g, layout) == 90.0
+        assert avg_adjacent_angle(g, layout) is None
+
+    @pytest.mark.parametrize("values, want", [
+        ([0.0] * 5, 0.0),
+        ([2.0**-1074], 2.0**-1074),
+        ([2.0**-1074] * 3, 2.0**-1074),
+        # Half the smallest subnormal: a tie, rounded to even.
+        ([2.0**-1074, 0.0], 0.0),
+        ([2.0**-1074, 2.0**-1074, 2.0**-1074, 0.0], 2.0**-1074),
+        ([2.0**-1022, 2.0**-1022], 2.0**-1022),
+        ([2.0**-1022, 0.0], 2.0**-1023),
+        ([90.0], 90.0),
+        ([180.0] * 7, 180.0),
+        ([0.0, 90.0, 180.0], 90.0),
+        ([180.0, 2.0**-1074], 90.0),
+        # A float sum drops both 2^-53 and gives 1/3: the exact sum is
+        # 1 + 2^-52, and its third is rounded once.
+        ([1.0, 2.0**-53, 2.0**-53], (1.0 + 2.0**-52) / 3),
+    ])
+    def test_special_values(self, values, want):
+        assert self.check(values) == want
+
+    def test_blocks_do_not_show(self):
+        # Values over every exponent from the subnormals to 2^7, each with
+        # random low bits, in one block or cut at random places.
+        rng = np.random.default_rng(5)
+        x = np.minimum(np.ldexp(1.0 + rng.random(4000), rng.integers(-1075, 8, 4000)), 180.0)
+        x = np.concatenate([x, 2.0 ** np.arange(-1074, 8), rng.random(300) * 180.0])
+        rng.shuffle(x)
+        whole = self.check(x)
+        for _ in range(5):
+            cuts = np.sort(rng.integers(0, len(x), 12))
+            assert self.check(*np.split(x, cuts)) == whole
+        assert self.check(*x[:64].reshape(-1, 1), x[64:]) == whole
+
+    def test_more_than_2_26_values_under_one_exponent(self, monkeypatch):
+        # A digit of b bits sums exactly over fewer than 2^(53 - b) values.
+        # Give a block of 4096 values in [128, 180), all under one exponent
+        # and with random low bits, the 26-bit digits of a block of
+        # 2^26 + 4096 values.
+        bits = metrics._digit_bits
+        for count in (1, 2, 2**26, 2**26 + 1, 2**40):
+            assert count * (2 ** bits(count) - 1) < 2**53
+        assert bits(2**26 + 4096) == 26
+        monkeypatch.setattr(metrics, "_digit_bits", lambda count: bits(count + 2**26))
+        x = 128.0 + 52.0 * np.random.default_rng(6).random(4096)
+        self.check(x)
+        self.check(np.full(4096, np.nextafter(180.0, 0.0)))
+        self.check(x, np.full(3, 2.0**-1074))
+
+    def test_nan_makes_the_mean_nan(self):
+        count, mean = metrics._exact_mean([np.array([1.0]), np.array([np.nan, 2.0]), np.array([3.0])])
+        assert count == 4 and math.isnan(mean)
 
 
 class TestLengthsAndDistances:
