@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .fr import FrParams, fr_run
-from .graphs import Graph, GraphError, parse_edge_list, parse_graphml
-from .layout import DegenerateGraphError, RunRecord
+from .graphs import DegenerateGraphError, Graph, GraphError, parse_edge_list, parse_graphml
+from .layout import RunRecord
 from .metrics import CSV_FIELDS, compute_metrics
 from .render import csv_text
 from .snb import SnbParams, _require_schedulable, compute_sync_param, snb_run

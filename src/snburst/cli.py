@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 IO/parse error, 3 numeric failure.
 The default output directory can be set via the SNBURST_OUT_DIR
 environment variable.
+
+The numeric modules are imported inside the commands that use them, so
+`--help` and `generate` load no numpy.
 """
 
 from __future__ import annotations
@@ -14,19 +17,19 @@ from pathlib import Path
 
 import click
 
-from . import bench as bench_mod
-from .fr import FrParams, fr_run
-from .graphs import GENERATORS, GraphError, write_edge_list, write_graphml
-from .layout import DegenerateGraphError, DegenerateLayoutError, NumericError
-from .metrics import compute_metrics
-from .render import (
-    csv_text,
-    layout_to_csv,
-    layout_to_svg,
-    magnitude_curve_to_csv,
-    read_layout_csv,
+from .graphs import (
+    GENERATORS,
+    DegenerateGraphError,
+    DegenerateLayoutError,
+    GraphError,
+    NumericError,
+    write_edge_list,
+    write_graphml,
 )
-from .snb import SnbParams, compute_sync_param, snb_run, total_magnitude_curve
+
+# `bench.ALGORITHMS`, spelled out so that parsing the command line loads no
+# numpy (a test pins the two equal).
+ALGORITHMS = ("snb", "fr")
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -49,9 +52,11 @@ def _out_dir(value: str | None) -> Path:
     return Path(os.environ.get("SNBURST_OUT_DIR", "."))
 
 
-def _snb_params(g, sync_param, **kwargs) -> SnbParams:
+def _snb_params(g, sync_param, **kwargs):
     """SnbParams for a command, s defaulting to the value derived from `g`; an
     s the run cannot hold (need 0 < s < total_multiplier - s) is a usage error."""
+    from .snb import SnbParams, compute_sync_param
+
     s = sync_param if sync_param is not None else compute_sync_param(g)
     try:
         return SnbParams(sync_param=s, **kwargs)
@@ -70,7 +75,7 @@ def _emit(text: str, output: str | None) -> None:
 
 @cli.command("layout")
 @click.argument("graph_file", type=click.Path())
-@click.option("--alg", type=click.Choice(bench_mod.ALGORITHMS), default="snb",
+@click.option("--alg", type=click.Choice(ALGORITHMS), default="snb",
               show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--multiplier", type=POSITIVE_INT, default=20, show_default=True,
@@ -83,7 +88,12 @@ def cmd_layout(graph_file, alg, seed, multiplier, sync_param, out_dir, labels):
     """Lay out GRAPH_FILE and write <stem>_<alg>.svg plus a coordinates CSV."""
     if alg == "fr" and sync_param is not None:
         raise click.UsageError("--sync-param applies to --alg snb only")
-    g = bench_mod.load_graph_file(graph_file)
+    from .bench import load_graph_file
+    from .fr import FrParams, fr_run
+    from .render import layout_to_csv, layout_to_svg
+    from .snb import snb_run
+
+    g = load_graph_file(graph_file)
     if alg == "snb":
         record = snb_run(g, _snb_params(g, sync_param, seed=seed, total_multiplier=multiplier))
     else:
@@ -108,7 +118,11 @@ def cmd_layout(graph_file, alg, seed, multiplier, sync_param, out_dir, labels):
               help="Write to a file instead of stdout.")
 def cmd_metrics(graph_file, layout_csv, fmt, output):
     """Compute the aesthetic scorecard of LAYOUT_CSV for GRAPH_FILE."""
-    g = bench_mod.load_graph_file(graph_file)
+    from .bench import load_graph_file
+    from .metrics import compute_metrics
+    from .render import csv_text, read_layout_csv
+
+    g = load_graph_file(graph_file)
     layout = read_layout_csv(Path(layout_csv).read_text(encoding="utf-8-sig"))
     report = compute_metrics(g, layout)
     if fmt == "json":
@@ -121,8 +135,8 @@ def cmd_metrics(graph_file, layout_csv, fmt, output):
 
 @cli.command("bench")
 @click.argument("corpus_dir", type=click.Path())
-@click.option("--alg", "algorithms", multiple=True, type=click.Choice(bench_mod.ALGORITHMS),
-              default=bench_mod.ALGORITHMS, show_default=True)
+@click.option("--alg", "algorithms", multiple=True, type=click.Choice(ALGORITHMS),
+              default=ALGORITHMS, show_default=True)
 @click.option("--seeds", type=POSITIVE_INT, default=1, show_default=True,
               help="Seeds per graph.")
 @click.option("--multiplier", type=POSITIVE_INT, default=20, show_default=True)
@@ -130,6 +144,8 @@ def cmd_metrics(graph_file, layout_csv, fmt, output):
 def cmd_bench(corpus_dir, algorithms, seeds, multiplier, out_dir):
     """Run the corpus in CORPUS_DIR, one job at a time, and write records.csv
     and buckets.csv."""
+    from . import bench as bench_mod
+
     records = bench_mod.run_corpus(
         corpus_dir,
         algorithms=tuple(dict.fromkeys(algorithms)),
@@ -153,7 +169,11 @@ def cmd_bench(corpus_dir, algorithms, seeds, multiplier, out_dir):
 @click.option("-o", "--output", type=click.Path(), default=None)
 def cmd_curve(graph_file, t_max, sync_param, output):
     """Emit the total-magnitude curve CSV (t, Ma, Mr, f) for GRAPH_FILE."""
-    g = bench_mod.load_graph_file(graph_file)
+    from .bench import load_graph_file
+    from .render import magnitude_curve_to_csv
+    from .snb import total_magnitude_curve
+
+    g = load_graph_file(graph_file)
     params = _snb_params(g, sync_param)
     if t_max is None:
         t_max = params.total_multiplier * g.n

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import DegenerateGraphError, Graph
 from .layout import (
-    DegenerateGraphError,
     RunRecord,
     batch_seeds,
     edge_pairs,

@@ -20,6 +20,21 @@ class ParseError(GraphError):
     """Malformed graph input file."""
 
 
+# The run errors live here, with numpy-free code, so the command line can
+# map them to exit codes without loading the numeric modules; `layout`
+# re-exports them.
+class DegenerateGraphError(ValueError):
+    """Graph too small to lay out (SnB needs n >= 2 and m >= 1, FR n >= 2)."""
+
+
+class DegenerateLayoutError(ValueError):
+    """All vertices coincide; the layout cannot be normalized."""
+
+
+class NumericError(ArithmeticError):
+    """An internal numeric invariant (finiteness) was violated."""
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected simple graph.

@@ -21,23 +21,12 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .graphs import Graph
+# The run errors are defined in `graphs` and importable from here as well.
+from .graphs import DegenerateGraphError, DegenerateLayoutError, Graph, NumericError
 from .rng import SplitMix64, hash_angle
 
 if TYPE_CHECKING:
     from .metrics import MetricsReport
-
-
-class DegenerateGraphError(ValueError):
-    """Graph too small to lay out (SnB needs n >= 2 and m >= 1, FR n >= 2)."""
-
-
-class DegenerateLayoutError(ValueError):
-    """All vertices coincide; the layout cannot be normalized."""
-
-
-class NumericError(ArithmeticError):
-    """An internal numeric invariant (finiteness) was violated."""
 
 
 @dataclass(frozen=True)
@@ -190,7 +179,9 @@ def iterate(
 # needs more.  Set from timed SnB and FR runs at B = 1-4 and n = 100-256
 # (README, "The pairwise kernel"): batches of up to about this many pair
 # entries ran faster per seed than one seed at a time, larger ones mostly
-# did not.
+# did not.  Those runs timed the earlier kernel that copied rows and
+# subtracted them; the difference product took a larger share off small n,
+# so where batching stops paying may have moved (not yet re-measured).
 # `metrics._nearest_vertex_distances` takes its distance rows, and
 # `PairWorkspace` the rows of the kernel's difference product, in blocks of
 # max(1, PAIR_BLOCK // n) vertices under the same budget.

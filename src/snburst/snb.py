@@ -31,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, betweenness
+from .graphs import DegenerateGraphError, Graph, betweenness
 from .layout import (
-    DegenerateGraphError,
     Layout,
     PairWorkspace,
     RunRecord,

@@ -358,6 +358,19 @@ class TestExitCodes:
         bad.write_text("vertex,x,y\n" + rows)
         assert main(["metrics", str(graph), str(bad)]) == EXIT_IO
 
+    def test_graph_without_edges_is_numeric_error(self, tmp_path):
+        gpath = write_graph(
+            tmp_path, "e.graphml",
+            '<graphml><graph edgedefault="undirected"><node id="a"/><node id="b"/>'
+            "</graph></graphml>",
+        )
+        assert main(["layout", str(gpath), "--out-dir", str(tmp_path)]) == EXIT_NUMERIC
+
+    def test_alg_choices_are_the_bench_algorithms(self):
+        from snburst import bench, cli
+
+        assert cli.ALGORITHMS == bench.ALGORITHMS
+
     def test_degenerate_graph_is_numeric_error(self, tmp_path):
         # A graph whose layout cannot be normalized: single edge collapses
         # to one point only in contrived cases, so use the degenerate-run

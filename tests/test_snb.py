@@ -23,6 +23,7 @@ from snburst import (
     SnbParams,
     compute_sync_param,
     gen_queen,
+    gen_scale_free,
     gen_wagner,
     initial_layout,
     magnitude,
@@ -365,6 +366,22 @@ class TestRun:
                 assert want.iteration == frames[t].iteration == t
                 assert np.array_equal(frames[t].coords, want.coords)
             assert np.array_equal(frames[-1].coords, r.final_layout.coords)
+
+    # Only the last assertion may fail: a wrong premise fails the test.
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="snb_step takes M(t-1) as a float and log(1/m) != -log(m) at m = 22; "
+        "ROADMAP item 4 has snb_step compute log M(t-1) as the run does",
+    )
+    def test_first_step_at_m_22(self):
+        g = gen_scale_free(12, 1, seed=0, target_m=22)
+        if g.m != 22 or math.log(1.0 / g.m) == -math.log(g.m):
+            pytest.fail("the graph no longer has the edge count whose log differs")
+        p = SnbParams(sync_param=compute_sync_param(g), seed=0)
+        (_, frame1), *_ = snb_run(g, p, capture_every=1).trajectory
+        want = snb_step(g, initial_layout(g, 0), 1.0 / g.m, p)
+        assert np.array_equal(frame1.coords, want.coords)
 
     def test_sync_end_capture(self):
         g = cycle(10)
