@@ -158,8 +158,19 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(len(ids), tuple(edges), labels=tuple(str(k) for k in ids))
 
 
-def _local_name(tag) -> str:
-    return tag.rsplit("}", 1)[-1] if isinstance(tag, str) else ""
+def _pull_events(text: str):
+    """Feed `text` to an `XMLPullParser` 2^14 characters at a time, then
+    close it, yielding after each step its new (event, element) pairs for
+    "start" and "end" events."""
+    parser = ET.XMLPullParser(("start", "end"))
+    # About 400 elements of written GraphML.  2^16 parsed queen 12x12 at the
+    # same speed and traced 0.4 MiB more (1.3 against 0.9 MiB).
+    piece = 1 << 14
+    for at in range(0, len(text), piece):
+        parser.feed(text[at:at + piece])
+        yield parser.read_events()
+    parser.close()
+    yield parser.read_events()
 
 
 def parse_graphml(text: str) -> Graph:
@@ -167,38 +178,69 @@ def parse_graphml(text: str) -> Graph:
 
     Edge direction attributes are ignored; the result is undirected.
     Ports, hyperedges and nested graphs are rejected.
-    """
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise ParseError(f"not well-formed GraphML: {exc}") from None
-    graphs = [el for el in root.iter() if _local_name(el.tag) == "graph"]
-    if not graphs:
-        raise ParseError("no <graph> element found")
-    gel = graphs[0]
-    for el in root.iter():
-        name = _local_name(el.tag)
-        if name in ("port", "hyperedge"):
-            raise ParseError(f"unsupported GraphML feature: <{name}>")
-        if name == "graph" and el is not gel:
-            raise ParseError("unsupported GraphML feature: nested graphs")
 
+    The nodes and edges are the direct <node> and <edge> children of the
+    first <graph>; edges may come before the nodes they name, and the
+    labels are the node ids in declaration order.  The text is parsed a
+    piece at a time (`_pull_events`), and each direct child is read as its
+    element closes.  After each piece, the closed elements are dropped
+    from the elements still open, so no element tree is built and about
+    one piece's elements are held at a time.  A problem is reported once
+    the whole text has been read, the first of these that occurs: ill-formed
+    XML; no <graph>; the first port, hyperedge or second graph in document
+    order; the first child node without an id or with a repeated id, or
+    child edge without a source or target; no node; the first edge naming
+    an undeclared node.
+    """
+    graph = None  # the first <graph>
+    unsupported = None  # the first unsupported element's message
+    bad_child = None  # the first malformed <node> or <edge> message
     ids: dict[str, int] = {}
     raw_edges = []
-    for el in gel:
-        name = _local_name(el.tag)
-        if name == "node":
-            nid = el.get("id")
-            if nid is None:
-                raise ParseError("node without id attribute")
-            if nid in ids:
-                raise ParseError(f"duplicate node id {nid!r}")
-            ids[nid] = len(ids)
-        elif name == "edge":
-            src, dst = el.get("source"), el.get("target")
-            if src is None or dst is None:
-                raise ParseError("edge without source/target")
-            raw_edges.append((src, dst))
+    names: dict[str, str] = {}  # tag -> local name
+    open_elements = []
+    try:
+        for events in _pull_events(text):
+            for event, el in events:
+                if event == "end":
+                    open_elements.pop()
+                    if not (open_elements and open_elements[-1] is graph) or bad_child:
+                        continue
+                    name = names[el.tag]
+                    if name == "node":
+                        nid = el.get("id")
+                        if nid is None:
+                            bad_child = "node without id attribute"
+                        elif nid in ids:
+                            bad_child = f"duplicate node id {nid!r}"
+                        else:
+                            ids[nid] = len(ids)
+                    elif name == "edge":
+                        src, dst = el.get("source"), el.get("target")
+                        if src is None or dst is None:
+                            bad_child = "edge without source/target"
+                        else:
+                            raw_edges.append((src, dst))
+                    continue
+                name = names.get(el.tag)
+                if name is None:
+                    name = names[el.tag] = el.tag.rsplit("}", 1)[-1]
+                if name == "graph":
+                    if graph is None:
+                        graph = el
+                    elif unsupported is None:
+                        unsupported = "unsupported GraphML feature: nested graphs"
+                elif name in ("port", "hyperedge") and unsupported is None:
+                    unsupported = f"unsupported GraphML feature: <{name}>"
+                open_elements.append(el)
+            for el in open_elements:
+                del el[:]
+    except ET.ParseError as exc:
+        raise ParseError(f"not well-formed GraphML: {exc}") from None
+    if graph is None:
+        raise ParseError("no <graph> element found")
+    if unsupported or bad_child:
+        raise ParseError(unsupported or bad_child)
     if not ids:
         raise ParseError("GraphML graph contains no nodes")
     for src, dst in raw_edges:
@@ -219,13 +261,18 @@ def write_edge_list(g: Graph) -> str:
 
 
 def write_graphml(g: Graph) -> str:
-    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
-    gel = ET.SubElement(root, "graph", id="G", edgedefault="undirected")
-    for i in range(g.n):
-        ET.SubElement(gel, "node", id=f"n{i}")
-    for k, (u, v) in enumerate(g.edges):
-        ET.SubElement(gel, "edge", id=f"e{k}", source=f"n{u}", target=f"n{v}")
-    return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
+    """GraphML text of g: nodes n0, n1, ... and edges e0, e1, ... in
+    `g.edges` order, written as `xml.etree.ElementTree.tostring` would
+    write that tree with a UTF-8 declaration, on one line."""
+    nodes = "".join([f'<node id="n{i}" />' for i in range(g.n)])
+    edges = "".join(
+        [f'<edge id="e{k}" source="n{u}" target="n{v}" />' for k, (u, v) in enumerate(g.edges)]
+    )
+    return (
+        "<?xml version='1.0' encoding='utf-8'?>\n"
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
+        f'<graph id="G" edgedefault="undirected">{nodes}{edges}</graph></graphml>\n'
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -176,12 +176,12 @@ def iterate(
 # Pair entries (seeds x vertex pairs) one kernel call may cover: `iterate`
 # runs seeds in batches of max(1, PAIR_BLOCK // n^2), so a workspace's
 # n x n arrays stay within 32 * PAIR_BLOCK bytes (1.5 MiB) unless one seed
-# needs more.  Set from timed SnB and FR runs at B = 1-4 and n = 100-256
-# (README, "The pairwise kernel"): batches of up to about this many pair
-# entries ran faster per seed than one seed at a time, larger ones mostly
-# did not.  Those runs timed the earlier kernel that copied rows and
-# subtracted them; the difference product took a larger share off small n,
-# so where batching stops paying may have moved (not yet re-measured).
+# needs more.  Set from timed SnB and FR runs (README, "The pairwise
+# kernel"), at B = 1-4 and n = 100-256 on the earlier kernel that copied
+# rows and subtracted them, and again at B = 1-3 and n = 100-181 on the
+# difference product: on both, batches of up to about this many pair
+# entries ran faster per seed than one seed at a time or level with it,
+# and larger ones ran slower.
 # `metrics._nearest_vertex_distances` takes its distance rows, and
 # `PairWorkspace` the rows of the kernel's difference product, in blocks of
 # max(1, PAIR_BLOCK // n) vertices under the same budget.

@@ -24,26 +24,53 @@ CROSSING_EPS = 1e-12
 
 # Edge pairs tested per block in find_crossings: a block is
 # max(1, CROSSING_BLOCK_PAIRS // m) edges against all later edges.  The box
-# filter takes about 3 bytes per tested pair, and each pair whose boxes
-# meet about 70 while its orientations are tested (about 130 where every
-# orientation sign is zero, as on a collinear layout).  A block of 2^16
-# pairs peaked (tracemalloc) at 1.1-1.6 MiB on the queen 8x8, 15x5 and
-# 12x12 SnB and FR final layouts (27% of the 12x12 boxes meet), 2.4 MiB
-# on a random queen 16x16 layout and 8 MiB with all vertices on one line.
-# Sweep, in ms per call (median of 11 interleaved calls on 2 shared Xeon
-# cores):
+# filter takes about 3 bytes per pair of the block and 8 per pair whose
+# boxes meet, whose tests then run in chunks of CROSSING_CHUNK_PAIRS.  A
+# `_crossing_summary` call peaked (tracemalloc) at 1.4-1.5 MiB on the queen
+# 12x12 SnB and FR final layouts (27% of the boxes meet), 2.0 MiB on a
+# random queen 16x16 layout (45%) and 2.4 MiB with all vertices of queen
+# 12x12 on one line.  Sweep, in ms per call (median of 11 interleaved
+# calls, 5 on queen 16x16, on 2 shared Xeon cores) / tracemalloc peak in
+# MiB, at 2^13 kept pairs per chunk (it ran under a heavier load than the
+# CROSSING_CHUNK_PAIRS sweep, so compare along a row):
 #
-#   pairs per block        2^15   2^16   2^17   before the box filter (2^15)
-#   queen 12x12 SnB          77     65     60    112
-#   queen 12x12 FR           71     64     58    108
-#   queen 16x16 SnB         399    343    315    538
-#   queen 16x16 random      594    542    503    665
+#   pairs per block         2^15         2^16         2^17
+#   queen 12x12 SnB          89 / 1.4     79 / 1.5     76 / 1.6
+#   queen 12x12 FR          138 / 1.3    109 / 1.4    110 / 1.6
+#   queen 16x16 SnB         491 / 1.8    405 / 1.9    343 / 2.0
+#   queen 16x16 random      659 / 1.9    605 / 2.0    588 / 2.4
+#   queen 12x12 on a line   313 / 2.2    299 / 2.4    298 / 3.1
 #
-# 2^17 is a little faster but raised the peak RSS of a fresh process
-# scoring the paper's graphs by 1.5 MB.  At 2^16 that peak, and those of
-# the queen 12x12 final layouts and of a random queen 16x16 layout, stay
-# within 0.2 MB of the pass before the filter.
+# Before the kept pairs were chunked, 2^17 raised the peak RSS of a fresh
+# process scoring the paper's graphs by 1.5 MB; a fresh process scoring
+# the queen 12x12 SnB and FR final layouts now peaks at 32.0, 32.2 and
+# 32.4 MB at 2^15, 2^16 and 2^17.
 CROSSING_BLOCK_PAIRS = 1 << 16
+
+# Kept pairs (those whose boxes meet) a block tests at once.  The
+# orientation, touch and angle tests take about 70 bytes per pair (about
+# 130 where every orientation sign is zero, as on a collinear layout), so a
+# chunk's working memory no longer grows with the share of boxes that meet,
+# and its 64 KiB float arrays stay below glibc's 128 KiB mmap threshold,
+# so a repeated call takes them from the heap instead of faulting in new
+# pages: a repeated `_crossing_summary` on a random queen 12x12 layout made
+# 1 269 minor faults, where testing a whole block at once made 15 190.
+# Sweep, in ms per call (median of 11 interleaved calls, 5 on queen 16x16,
+# on 2 shared Xeon cores) / tracemalloc peak in MiB, at 2^16 pairs per block:
+#
+#   kept pairs per chunk    2^12         2^13         2^14         one per block
+#   queen 12x12 SnB          85 / 1.1     75 / 1.5     71 / 2.5     71 / 2.5
+#   queen 12x12 FR           85 / 1.0     74 / 1.4     73 / 2.4     75 / 2.9
+#   queen 12x12 random      132 / 1.1    114 / 1.6    110 / 2.5    117 / 4.3
+#   queen 16x16 SnB         453 / 1.4    422 / 1.9    441 / 2.9    447 / 4.2
+#   queen 16x16 random      746 / 1.6    607 / 2.0    633 / 3.0    596 / 5.0
+#   queen 12x12 on a line   352 / 1.7    325 / 2.4    319 / 4.2    349 / 10.6
+#
+# 2^12 pays a numpy call's fixed cost too often.  At 2^14 the arrays reach
+# the mmap threshold: a fresh process scoring the queen 12x12 SnB and FR
+# final layouts peaked 1.0 MB higher in RSS than at 2^13, and 0.3 MB
+# higher than testing whole blocks.
+CROSSING_CHUNK_PAIRS = 1 << 13
 
 # Adjacent-edge pairs (triples v, a, b) per block in avg_adjacent_angle:
 # the consecutive slot rows of pairs that fit, at least one row.  A block
@@ -121,12 +148,12 @@ def find_crossings(g: Graph, layout: Layout):
     sharing a vertex are never counted.  Proper intersections,
     endpoint-on-segment touches and collinear overlaps all count.
 
-    The pairs and angles are those of the `_crossing_blocks` blocks, joined
-    in order.  Only this output grows with the number of crossings, and
-    only `find_crossings` holds it: a random layout of queen 16x16
+    The pairs and angles are those of the `_crossing_blocks` chunks,
+    joined in order.  Only this output grows with the number of crossings,
+    and only `find_crossings` holds it: a random layout of queen 16x16
     (m = 6320, 4.56 M crossings, 104 MiB of pairs and angles) peaks near
     0.25 GB, about twice its output, while `compute_metrics` scores each
-    block as it comes and holds one block at a time.
+    chunk as it comes and holds one chunk at a time.
     """
     pairs, angles = [np.empty((0, 2), dtype=int)], [np.empty(0)]
     for ii, jj, block_angles in _crossing_blocks(g, layout):
@@ -137,7 +164,7 @@ def find_crossings(g: Graph, layout: Layout):
 
 
 def _crossing_blocks(g: Graph, layout: Layout):
-    """Yield (ii, jj, angles) for each row block of edge pairs: the crossing
+    """Yield (ii, jj, angles) for each chunk of edge pairs: the crossing
     pairs' edge indices ii < jj, in row-major order, and their acute
     angles (degrees).
 
@@ -146,7 +173,9 @@ def _crossing_blocks(g: Graph, layout: Layout):
     walked in row blocks of edges against all later edges, about
     CROSSING_BLOCK_PAIRS pairs per block.  A block first compares the
     boxes, four comparisons per pair, and keeps the pairs whose boxes meet,
-    in row-major order; only those get the exact tests.  The filter drops
+    in row-major order; only those get the exact tests, CROSSING_CHUNK_PAIRS
+    kept pairs at a time, and each chunk's crossings are yielded as they
+    are found.  The filter drops
     no crossing: a touch needs an endpoint inside the other edge's widened
     box, and a proper crossing needs opposite orientations beyond
     CROSSING_EPS on both edges, which, while rounding error stays below
@@ -157,7 +186,11 @@ def _crossing_blocks(g: Graph, layout: Layout):
     and collinear overlaps run only on the pairs with a zero sign that
     share no vertex (a shared endpoint's orientation is exactly 0, so every
     pair sharing a vertex is among the zero-sign pairs).  Working memory is
-    bounded per block.
+    a block's box comparisons and kept-pair indices, 3 bytes per pair of
+    the block and 8 per kept pair, and one chunk's tests: on a random
+    queen 16x16 layout, where 45% of the boxes meet, `compute_metrics`
+    traces 2.0 MiB, where testing each block's kept pairs at once traced
+    4.3 MiB.
     """
     m = g.m
     e = np.asarray(g.edges, dtype=np.intp).reshape(m, 2)
@@ -178,60 +211,55 @@ def _crossing_blocks(g: Graph, layout: Layout):
     for a in range(0, m - 1, rows):
         b = min(a + rows, m - 1)
         # Block edges i in rows, edges j >= a in columns.  The pairs j > i
-        # whose boxes meet, row-major: k indexes them in the block, count
-        # per row, and i, j are their edges.
+        # whose boxes meet, row-major: `kept` indexes them in the block.
         meet = (lox[a:b, None] <= hix[a:]) & (lox[a:] <= hix[a:b, None])
         meet &= loy[a:b, None] <= hiy[a:]
         meet &= loy[a:] <= hiy[a:b, None]
         meet[:, : b - a] = np.triu(meet[:, : b - a], 1)
-        k = np.flatnonzero(meet)
+        kept = np.flatnonzero(meet)
         del meet
-        count = np.diff(np.searchsorted(k, np.arange(b - a + 1) * (m - a)))
-        i = np.repeat(np.arange(a, b), count)
-        j = k - np.repeat(np.arange(b - a) * (m - a) - a, count)
-        del k
-        dxi, dyi = np.repeat(dx[a:b], count), np.repeat(dy[a:b], count)
-        dxj, dyj = dx.take(j), dy.take(j)
-        # Orientation of point p against edge (a, b), in the operand order
-        # (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x).  That of
-        # a_j against edge i is the negation of the value computed here from
-        # a_i - a_j (exactly so in floating point), hence its swapped signs.
-        # Each orientation's endpoint differences are gathered just before
-        # it is taken, so a block holds only a few arrays per kept pair.
-        ddx = np.repeat(ax[a:b], count) - ax.take(j)
-        ddy = np.repeat(ay[a:b], count) - ay.take(j)
-        p1, n1 = _signs(dxj * ddy - dyj * ddx)  # a_i against edge j
-        n3, p3 = _signs(dxi * ddy - dyi * ddx)  # a_j against edge i
-        ddx = np.repeat(bx[a:b], count) - ax.take(j)
-        ddy = np.repeat(by[a:b], count) - ay.take(j)
-        p2, n2 = _signs(dxj * ddy - dyj * ddx)  # b_i against edge j
-        ddx = bx.take(j) - np.repeat(ax[a:b], count)
-        ddy = by.take(j) - np.repeat(ay[a:b], count)
-        p4, n4 = _signs(dxi * ddy - dyi * ddx)  # b_j against edge i
-        del ddx, ddy
-        crossing = ((p1 & n2) | (n1 & p2)) & ((p3 & n4) | (n3 & p4))
-        s1, s2, s3, s4 = p1 | n1, p2 | n2, p3 | n3, p4 | n4
-        # A zero sign: a touch, a collinear pair or a shared vertex.
-        z = np.flatnonzero(~(s1 & s2 & s3 & s4))
-        zi, zj = i.take(z), j.take(z)
-        ui, vi, uj, vj = u[zi], v[zi], u[zj], v[zj]
-        apart = (ui != uj) & (ui != vj) & (vi != uj) & (vi != vj)
-        z, zi, zj = z[apart], zi[apart], zj[apart]
-        touching = (
-            (~s1.take(z) & in_bbox(ax[zi], ay[zi], zj))
-            | (~s2.take(z) & in_bbox(bx[zi], by[zi], zj))
-            | (~s3.take(z) & in_bbox(ax[zj], ay[zj], zi))
-            | (~s4.take(z) & in_bbox(bx[zj], by[zj], zi))
-        )
-        np.put(crossing, z[touching], True)
-        hit = np.flatnonzero(crossing)
-        ii, jj = i.take(hit), j.take(hit)
-        dot = np.abs(dxi.take(hit) * dxj.take(hit) + dyi.take(hit) * dyj.take(hit))
-        # Free the block's per-pair arrays before its output is built, so
-        # the output can take their place in the heap instead of piling up
-        # above them (1.3 MB less peak RSS on a random queen 16x16 layout).
-        del i, j, dxi, dyi, dxj, dyj, p1, n1, p2, n2, p3, n3, p4, n4, s1, s2, s3, s4, crossing, hit
-        yield ii, jj, _angles(dot, length[ii] * length[jj])
+        for c in range(0, len(kept), CROSSING_CHUNK_PAIRS):
+            # A chunk of kept pairs: count per block row, and i, j their edges.
+            k = kept[c:c + CROSSING_CHUNK_PAIRS]
+            count = np.diff(np.searchsorted(k, np.arange(b - a + 1) * (m - a)))
+            i = np.repeat(np.arange(a, b), count)
+            j = k - np.repeat(np.arange(b - a) * (m - a) - a, count)
+            dxi, dyi = np.repeat(dx[a:b], count), np.repeat(dy[a:b], count)
+            dxj, dyj = dx.take(j), dy.take(j)
+            # Orientation of point p against edge (a, b), in the operand order
+            # (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x).  That of
+            # a_j against edge i is the negation of the value computed here
+            # from a_i - a_j (exactly so in floating point), hence its swapped
+            # signs.
+            ddx = np.repeat(ax[a:b], count) - ax.take(j)
+            ddy = np.repeat(ay[a:b], count) - ay.take(j)
+            p1, n1 = _signs(dxj * ddy - dyj * ddx)  # a_i against edge j
+            n3, p3 = _signs(dxi * ddy - dyi * ddx)  # a_j against edge i
+            ddx = np.repeat(bx[a:b], count) - ax.take(j)
+            ddy = np.repeat(by[a:b], count) - ay.take(j)
+            p2, n2 = _signs(dxj * ddy - dyj * ddx)  # b_i against edge j
+            ddx = bx.take(j) - np.repeat(ax[a:b], count)
+            ddy = by.take(j) - np.repeat(ay[a:b], count)
+            p4, n4 = _signs(dxi * ddy - dyi * ddx)  # b_j against edge i
+            crossing = ((p1 & n2) | (n1 & p2)) & ((p3 & n4) | (n3 & p4))
+            s1, s2, s3, s4 = p1 | n1, p2 | n2, p3 | n3, p4 | n4
+            # A zero sign: a touch, a collinear pair or a shared vertex.
+            z = np.flatnonzero(~(s1 & s2 & s3 & s4))
+            zi, zj = i.take(z), j.take(z)
+            ui, vi, uj, vj = u[zi], v[zi], u[zj], v[zj]
+            apart = (ui != uj) & (ui != vj) & (vi != uj) & (vi != vj)
+            z, zi, zj = z[apart], zi[apart], zj[apart]
+            touching = (
+                (~s1.take(z) & in_bbox(ax[zi], ay[zi], zj))
+                | (~s2.take(z) & in_bbox(bx[zi], by[zi], zj))
+                | (~s3.take(z) & in_bbox(ax[zj], ay[zj], zi))
+                | (~s4.take(z) & in_bbox(bx[zj], by[zj], zi))
+            )
+            np.put(crossing, z[touching], True)
+            hit = np.flatnonzero(crossing)
+            ii, jj = i.take(hit), j.take(hit)
+            dot = np.abs(dxi.take(hit) * dxj.take(hit) + dyi.take(hit) * dyj.take(hit))
+            yield ii, jj, _angles(dot, length[ii] * length[jj])
 
 
 def _signs(v: np.ndarray):
@@ -257,8 +285,8 @@ def avg_crossing_angle(g: Graph, layout: Layout) -> float:
 
 def _crossing_summary(g: Graph, layout: Layout) -> tuple[int, float]:
     """The crossing count and mean angle (90 if planar) of one pass over
-    `_crossing_blocks`.  Each angle block goes to `_exact_mean` as it
-    comes, so no more than a block of angles is held at a time."""
+    `_crossing_blocks`.  Each chunk's angles go to `_exact_mean` as they
+    come, so no more than a chunk of angles is held at a time."""
     count, mean = _exact_mean(angles for _, _, angles in _crossing_blocks(g, layout))
     return count, 90.0 if mean is None else mean
 

@@ -4,16 +4,18 @@ Everything here but the last section deliberately avoids the implementation
 routes used by the package: betweenness by full shortest-path enumeration,
 crossings by parametric line intersection, nearest-neighbor distances via a
 KD-tree, angles via atan2 differences, means via exact fractions.  The
-last two sections instead freeze earlier versions of the package's own code
+last sections instead freeze earlier versions of the package's own code
 as bitwise references for its fast paths: the dense iterations, one fresh
 array per operation, the crossing pass that gathers the endpoints of every
-candidate pair and the adjacent-angle pass over all pairs at once.
+candidate pair, the adjacent-angle pass over all pairs at once and the
+GraphML parser that built the whole element tree.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+import xml.etree.ElementTree as ET
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
@@ -473,3 +475,52 @@ def gathered_adjacent_angles(g, coords):
     dot = ua[:, 0] * ub[:, 0] + ua[:, 1] * ub[:, 1]
     denom = np.where(norms == 0.0, 1.0, norms)
     return np.where(norms == 0.0, 0.0, np.degrees(np.arccos(np.clip(dot / denom, -1.0, 1.0))))
+
+
+# ---------------------------------------------------------------------------
+# Frozen GraphML parser: a reference for parse_graphml's result and for
+# which problem it reports first, from the whole element tree.
+
+
+def tree_parse_graphml(text):
+    """("graph", n, edges, labels) for GraphML text, edges as sorted
+    (u, v) pairs with u < v, self-loops and repeats dropped; or ("error",
+    message) with the message parse_graphml's ParseError carries."""
+
+    def name(tag):
+        return tag.rsplit("}", 1)[-1] if isinstance(tag, str) else ""
+
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        return "error", f"not well-formed GraphML: {exc}"
+    graphs = [el for el in root.iter() if name(el.tag) == "graph"]
+    if not graphs:
+        return "error", "no <graph> element found"
+    gel = graphs[0]
+    for el in root.iter():
+        if name(el.tag) in ("port", "hyperedge"):
+            return "error", f"unsupported GraphML feature: <{name(el.tag)}>"
+        if name(el.tag) == "graph" and el is not gel:
+            return "error", "unsupported GraphML feature: nested graphs"
+    ids, raw_edges = {}, []
+    for el in gel:
+        if name(el.tag) == "node":
+            nid = el.get("id")
+            if nid is None:
+                return "error", "node without id attribute"
+            if nid in ids:
+                return "error", f"duplicate node id {nid!r}"
+            ids[nid] = len(ids)
+        elif name(el.tag) == "edge":
+            src, dst = el.get("source"), el.get("target")
+            if src is None or dst is None:
+                return "error", "edge without source/target"
+            raw_edges.append((src, dst))
+    if not ids:
+        return "error", "GraphML graph contains no nodes"
+    for src, dst in raw_edges:
+        if src not in ids or dst not in ids:
+            return "error", f"edge references undeclared node ({src!r}, {dst!r})"
+    edges = {tuple(sorted((ids[s], ids[d]))) for s, d in raw_edges if s != d}
+    return "graph", len(ids), tuple(sorted(edges)), tuple(ids)

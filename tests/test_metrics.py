@@ -171,6 +171,33 @@ class TestCrossingBlocks:
             tracemalloc.stop()
         assert peak < 6 * 2**20
 
+    def test_metrics_memory_bounded_when_boxes_meet(self):
+        # On a random queen 16x16 layout (m = 6320) 45% of the boxes meet,
+        # and 4.56 M pairs cross.  With every kept pair of a 2^16-pair block
+        # tested at once the pass traced 4.3 MiB; in chunks of
+        # CROSSING_CHUNK_PAIRS kept pairs it traces 2.0 MiB.  Bound: that
+        # plus 1 MiB.
+        g = gen_queen(16, 16)
+        layout = Layout(np.random.default_rng(0).random((g.n, 2)))
+        tracemalloc.start()
+        try:
+            compute_metrics(g, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+
+    @pytest.mark.parametrize("chunk", [1, 5])
+    def test_chunks_hold_at_most_chunk_pairs(self, monkeypatch, chunk):
+        # Every chunk's crossings come from at most `chunk` kept pairs, and
+        # together they are the pass's crossings in order.
+        monkeypatch.setattr(metrics, "CROSSING_CHUNK_PAIRS", chunk)
+        for g, coords in self.cases():
+            blocks = list(metrics._crossing_blocks(g, Layout(coords)))
+            assert all(len(ii) <= chunk for ii, _, _ in blocks)
+            pairs = [(i, j) for ii, jj, _ in blocks for i, j in zip(ii.tolist(), jj.tolist())]
+            assert pairs == oracles.crossing_pairs(g, coords)
+
 
 class TestCrossingsMatchGatheredPass:
     """find_crossings is bitwise equal to the frozen gathered pass: the same
@@ -245,6 +272,17 @@ class TestCrossingsMatchGatheredPass:
             "random", "snb-final", "fr-final", "coincident-lattice", "integer-grid",
             "coincident-lattice-2^30", "integer-grid-2^30", "near-collinear-1e9",
         }
+
+    @pytest.mark.parametrize("chunk", [5, 64])
+    def test_bitwise_equal_in_chunks(self, monkeypatch, chunk):
+        # Chunks of kept pairs smaller than a block row, at the default
+        # block and at three rows per block.
+        monkeypatch.setattr(metrics, "CROSSING_CHUNK_PAIRS", chunk)
+        for rows in (None, 3):
+            for kind, g, coords in self.cases():
+                if rows is not None:
+                    monkeypatch.setattr(metrics, "CROSSING_BLOCK_PAIRS", rows * g.m)
+                self.assert_same(g, Layout(coords))
 
     @pytest.mark.parametrize("rows", [None, 1, 3, 7])
     def test_report_matches_find_crossings(self, monkeypatch, rows):
