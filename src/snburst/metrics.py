@@ -31,15 +31,14 @@ CROSSING_EPS = 1e-12
 # random queen 16x16 layout (45%) and 2.4 MiB with all vertices of queen
 # 12x12 on one line.  Sweep, in ms per call (median of 11 interleaved
 # calls, 5 on queen 16x16, on 2 shared Xeon cores) / tracemalloc peak in
-# MiB, at 2^13 kept pairs per chunk (it ran under a heavier load than the
-# CROSSING_CHUNK_PAIRS sweep, so compare along a row):
+# MiB, at 2^13 kept pairs per chunk:
 #
 #   pairs per block         2^15         2^16         2^17
-#   queen 12x12 SnB          89 / 1.4     79 / 1.5     76 / 1.6
-#   queen 12x12 FR          138 / 1.3    109 / 1.4    110 / 1.6
-#   queen 16x16 SnB         491 / 1.8    405 / 1.9    343 / 2.0
-#   queen 16x16 random      659 / 1.9    605 / 2.0    588 / 2.4
-#   queen 12x12 on a line   313 / 2.2    299 / 2.4    298 / 3.1
+#   queen 12x12 SnB          87 / 1.4     74 / 1.5     71 / 1.6
+#   queen 12x12 FR           78 / 1.3     73 / 1.4     71 / 1.6
+#   queen 16x16 SnB         402 / 1.8    343 / 1.9    316 / 2.0
+#   queen 16x16 random      580 / 1.9    517 / 2.0    506 / 2.4
+#   queen 12x12 on a line   302 / 2.2    286 / 2.4    283 / 3.1
 #
 # Before the kept pairs were chunked, 2^17 raised the peak RSS of a fresh
 # process scoring the paper's graphs by 1.5 MB; a fresh process scoring
@@ -54,17 +53,17 @@ CROSSING_BLOCK_PAIRS = 1 << 16
 # and its 64 KiB float arrays stay below glibc's 128 KiB mmap threshold,
 # so a repeated call takes them from the heap instead of faulting in new
 # pages: a repeated `_crossing_summary` on a random queen 12x12 layout made
-# 1 269 minor faults, where testing a whole block at once made 15 190.
+# 799 minor faults, where testing a whole block at once made 13 866.
 # Sweep, in ms per call (median of 11 interleaved calls, 5 on queen 16x16,
 # on 2 shared Xeon cores) / tracemalloc peak in MiB, at 2^16 pairs per block:
 #
 #   kept pairs per chunk    2^12         2^13         2^14         one per block
-#   queen 12x12 SnB          85 / 1.1     75 / 1.5     71 / 2.5     71 / 2.5
-#   queen 12x12 FR           85 / 1.0     74 / 1.4     73 / 2.4     75 / 2.9
-#   queen 12x12 random      132 / 1.1    114 / 1.6    110 / 2.5    117 / 4.3
-#   queen 16x16 SnB         453 / 1.4    422 / 1.9    441 / 2.9    447 / 4.2
-#   queen 16x16 random      746 / 1.6    607 / 2.0    633 / 3.0    596 / 5.0
-#   queen 12x12 on a line   352 / 1.7    325 / 2.4    319 / 4.2    349 / 10.6
+#   queen 12x12 SnB          80 / 1.1     72 / 1.5     70 / 2.5     70 / 2.5
+#   queen 12x12 FR           75 / 1.0     70 / 1.4     71 / 2.4     68 / 2.9
+#   queen 12x12 random      113 / 1.1     97 / 1.6     99 / 2.5    102 / 4.3
+#   queen 16x16 SnB         384 / 1.4    329 / 1.9    367 / 2.9    377 / 4.2
+#   queen 16x16 random      609 / 1.6    539 / 2.0    566 / 3.0    529 / 5.0
+#   queen 12x12 on a line   313 / 1.7    309 / 2.4    300 / 4.2    290 / 10.6
 #
 # 2^12 pays a numpy call's fixed cost too often.  At 2^14 the arrays reach
 # the mmap threshold: a fresh process scoring the queen 12x12 SnB and FR
@@ -249,13 +248,14 @@ def _crossing_blocks(g: Graph, layout: Layout):
             ui, vi, uj, vj = u[zi], v[zi], u[zj], v[zj]
             apart = (ui != uj) & (ui != vj) & (vi != uj) & (vi != vj)
             z, zi, zj = z[apart], zi[apart], zj[apart]
-            touching = (
-                (~s1.take(z) & in_bbox(ax[zi], ay[zi], zj))
-                | (~s2.take(z) & in_bbox(bx[zi], by[zi], zj))
-                | (~s3.take(z) & in_bbox(ax[zj], ay[zj], zi))
-                | (~s4.take(z) & in_bbox(bx[zj], by[zj], zi))
-            )
-            np.put(crossing, z[touching], True)
+            if len(z):  # rare off a lattice: skip the tests' fixed cost
+                touching = (
+                    (~s1.take(z) & in_bbox(ax[zi], ay[zi], zj))
+                    | (~s2.take(z) & in_bbox(bx[zi], by[zi], zj))
+                    | (~s3.take(z) & in_bbox(ax[zj], ay[zj], zi))
+                    | (~s4.take(z) & in_bbox(bx[zj], by[zj], zi))
+                )
+                np.put(crossing, z[touching], True)
             hit = np.flatnonzero(crossing)
             ii, jj = i.take(hit), j.take(hit)
             dot = np.abs(dxi.take(hit) * dxj.take(hit) + dyi.take(hit) * dyj.take(hit))
