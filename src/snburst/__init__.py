@@ -1,37 +1,16 @@
 """Sync-and-Burst force-directed graph layout toolkit.
 
-The graph names (generators, parsers, writers, betweenness and the error
-types) load with the package; they need no numpy.  Every other public name,
-and every submodule, is imported on first access, so code that only makes
-or converts graphs never loads numpy.
+Importing the package loads none of its modules: every public name, and
+every submodule, is imported on first access.  The graph names (generators,
+parsers, writers, betweenness and the error types) live in `graphs`, which
+needs no numpy, so code that only makes or converts graphs never loads it.
 """
 
 import importlib as _importlib
 
-from .graphs import (
-    CentralityVector,
-    DegenerateGraphError,
-    DegenerateLayoutError,
-    Graph,
-    GraphError,
-    NumericError,
-    ParseError,
-    betweenness,
-    gen_heawood,
-    gen_lcf,
-    gen_queen,
-    gen_scale_free,
-    gen_wagner,
-    parse_edge_list,
-    parse_graphml,
-    write_edge_list,
-    write_graphml,
-)
-
 __version__ = "0.1.0"
 
-# Public name -> the submodule that defines it.  The `graphs` names are
-# imported above; the others are imported on first access.
+# Public name -> the submodule that defines it, imported on first access.
 _OWNER = {
     name: module
     for module, names in {

@@ -1,10 +1,10 @@
 """The package's public surface, and what importing it costs.
 
-`import snburst` loads only the numpy-free graph code; every other public
-name and every submodule is imported on first access.  These tests pin the
-exported names to the objects their modules define, and check in fresh
-child processes that the graph tools and the `--help` and `generate`
-commands never load numpy.
+`import snburst` loads none of its submodules; every public name and every
+submodule is imported on first access.  These tests pin the exported names
+to the objects their modules define, and check in fresh child processes
+that the graph tools and the `--help` and `generate` commands never load
+numpy.
 """
 
 import json
