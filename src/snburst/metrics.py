@@ -218,27 +218,29 @@ def _crossing_blocks(g: Graph, layout: Layout):
         kept = np.flatnonzero(meet)
         del meet
         for c in range(0, len(kept), CROSSING_CHUNK_PAIRS):
-            # A chunk of kept pairs: count per block row, and i, j their edges.
+            # A chunk of kept pairs, and i, j their edges: a plus the row and
+            # the column in the block (a floor division and a product take
+            # half the time of np.divmod, which made the pass 2-4% slower).
             k = kept[c:c + CROSSING_CHUNK_PAIRS]
-            count = np.diff(np.searchsorted(k, np.arange(b - a + 1) * (m - a)))
-            i = np.repeat(np.arange(a, b), count)
-            j = k - np.repeat(np.arange(b - a) * (m - a) - a, count)
-            dxi, dyi = np.repeat(dx[a:b], count), np.repeat(dy[a:b], count)
+            i = k // (m - a)
+            j = k - i * (m - a) + a
+            i += a
+            dxi, dyi = dx.take(i), dy.take(i)
             dxj, dyj = dx.take(j), dy.take(j)
             # Orientation of point p against edge (a, b), in the operand order
             # (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x).  That of
             # a_j against edge i is the negation of the value computed here
             # from a_i - a_j (exactly so in floating point), hence its swapped
             # signs.
-            ddx = np.repeat(ax[a:b], count) - ax.take(j)
-            ddy = np.repeat(ay[a:b], count) - ay.take(j)
+            ddx = ax.take(i) - ax.take(j)
+            ddy = ay.take(i) - ay.take(j)
             p1, n1 = _signs(dxj * ddy - dyj * ddx)  # a_i against edge j
             n3, p3 = _signs(dxi * ddy - dyi * ddx)  # a_j against edge i
-            ddx = np.repeat(bx[a:b], count) - ax.take(j)
-            ddy = np.repeat(by[a:b], count) - ay.take(j)
+            ddx = bx.take(i) - ax.take(j)
+            ddy = by.take(i) - ay.take(j)
             p2, n2 = _signs(dxj * ddy - dyj * ddx)  # b_i against edge j
-            ddx = bx.take(j) - np.repeat(ax[a:b], count)
-            ddy = by.take(j) - np.repeat(ay[a:b], count)
+            ddx = bx.take(j) - ax.take(i)
+            ddy = by.take(j) - ay.take(i)
             p4, n4 = _signs(dxi * ddy - dyi * ddx)  # b_j against edge i
             crossing = ((p1 & n2) | (n1 & p2)) & ((p3 & n4) | (n3 & p4))
             s1, s2, s3, s4 = p1 | n1, p2 | n2, p3 | n3, p4 | n4
