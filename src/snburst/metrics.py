@@ -223,8 +223,9 @@ def _crossing_blocks(g: Graph, layout: Layout):
             # half the time of np.divmod, which made the pass 2-4% slower).
             k = kept[c:c + CROSSING_CHUNK_PAIRS]
             i = k // (m - a)
-            j = k - i * (m - a) + a
+            j = k - i * (m - a)
             i += a
+            j += a
             dxi, dyi = dx.take(i), dy.take(i)
             dxj, dyj = dx.take(j), dy.take(j)
             # Orientation of point p against edge (a, b), in the operand order

@@ -352,11 +352,12 @@ class TestParseGraphml:
             assert got == ("graph", *expected)
 
     def test_memory_bounded(self):
-        # Building the element tree of this 2.3 MiB document traced 40.8
-        # MiB in the tree-based parser.  Read through a parser target, which
-        # builds no element, with the text fed 2^14 characters at a time, it
-        # traces 19.9 MiB, 8.3 of them the Graph itself (23.8 MiB when fed
-        # whole).  Bound: that plus about 4 MiB.
+        # Read through a parser target, which builds no element, this 2.3 MiB
+        # document traces 19.9 MiB, 8.3 of them the Graph itself; building
+        # its element tree (oracles.tree_parse_graphml) traces 34.2 MiB.
+        # Bound: the first plus about 4 MiB.  Feeding the text whole instead
+        # of 2^14 characters at a time traces 23.8 MiB, so the bound does not
+        # pin the piece size.
         text = write_graphml(gen_scale_free(20000, 2, seed=1))
         tracemalloc.start()
         try:
